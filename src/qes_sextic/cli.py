@@ -37,8 +37,31 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _rational_list(text: str) -> list[Fraction]:
-    return [_rational(part) for part in text.split(",") if part.strip()]
+def _dimension(text: str) -> Fraction:
+    value = _rational(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise argparse.ArgumentTypeError(
+            f"dimension beyond the float64 range: {text!r}"
+        ) from None
+    return value
+
+
+def _dimension_list(text: str) -> list[Fraction]:
+    return [_dimension(part) for part in text.split(",") if part.strip()]
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive: {text!r}"
+        )
+    return value
 
 
 def _add_model_arguments(parser: argparse.ArgumentParser, with_k: bool = True):
@@ -64,12 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="exact matrix and numeric spectrum at one D")
     _add_model_arguments(p)
-    p.add_argument("-D", dest="dim", type=_rational, required=True)
+    p.add_argument("-D", dest="dim", type=_dimension, required=True)
     p.add_argument("--general", type=int, metavar="N_TRUNC",
                    help="also check the QES block against this truncation "
                    "of the un-terminated matrix")
     p.add_argument("--show-matrix", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_positive_float, default=1e-12)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_spectrum)
 
@@ -77,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_arguments(p)
     p.add_argument("-K", dest="order", type=int, default=10,
                    help="maximum correction order (default 10)")
-    p.add_argument("-D", dest="dims", type=_rational_list, default=[],
+    p.add_argument("-D", dest="dims", type=_dimension_list, default=[],
                    help="comma-separated dimensions for numeric evaluation")
     p.add_argument("--t", dest="t_value", type=_rational, default=None,
                    help="rational t to substitute into the coefficients")
@@ -88,9 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="series-vs-eigensolver convergence check")
     _add_model_arguments(p)
     p.add_argument("-K", dest="order", type=int, default=6)
-    p.add_argument("-D", dest="dims", type=_rational_list, required=True,
+    p.add_argument("-D", dest="dims", type=_dimension_list, required=True,
                    help="comma-separated dimensions, e.g. 100,1000,10000")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_positive_float, default=1e-12)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_validate)
 
@@ -102,12 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wavefunction", help="sampled bound state as CSV")
     _add_model_arguments(p)
-    p.add_argument("-D", dest="dim", type=_rational, required=True)
+    p.add_argument("-D", dest="dim", type=_dimension, required=True)
     p.add_argument("--state", type=int, default=0,
                    help="state index by ascending energy (default 0)")
-    p.add_argument("--rmax", type=float, default=3.0)
+    p.add_argument("--rmax", type=_positive_float, default=3.0)
     p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_positive_float, default=1e-12)
     p.set_defaults(func=cmd_wavefunction)
 
     return parser
@@ -190,7 +213,9 @@ def cmd_spectrum(args) -> int:
 
     exact = {"coupling_a": str(coupling)}
     if args.show_matrix:
-        exact["matrix"] = qes_matrix(params, dim).to_rational_strings()
+        exact["matrix"] = ExactMatrix.tridiagonal(
+            *qes_matrix(params, dim)
+        ).to_rational_strings()
 
     if args.format == "csv":
         _emit_csv(["state", "eigenvalue"],
@@ -403,8 +428,6 @@ def cmd_wavefunction(args) -> int:
     params = ModelParams(args.n, args.k, args.beta, args.gamma)
     if args.samples < 1:
         raise ValueError("samples must be positive")
-    if args.rmax <= 0:
-        raise ValueError("rmax must be positive")
     wf, _energy = radial_wavefunction(params, args.dim, args.state, args.tol)
     rows = []
     for i in range(args.samples):

@@ -251,11 +251,21 @@ class ExactMatrix:
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "ExactMatrix":
-        n = len(values)
+        return cls.tridiagonal((), values, ())
+
+    @classmethod
+    def tridiagonal(
+        cls, lower: Sequence, diag: Sequence, upper: Sequence
+    ) -> "ExactMatrix":
+        """The matrix with sub-, main and superdiagonal lower, diag, upper."""
+        n = len(diag)
         z = TPoly.zero()
         rows = [[z] * n for _ in range(n)]
-        for i, v in enumerate(values):
-            rows[i][i] = _as_tpoly(v)
+        for i, v in enumerate(diag):
+            rows[i][i] = v
+        for i, (lo, up) in enumerate(zip(lower, upper)):
+            rows[i + 1][i] = lo
+            rows[i][i + 1] = up
         return cls(rows)
 
     def __getitem__(self, index: tuple[int, int]) -> TPoly:

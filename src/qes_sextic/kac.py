@@ -21,12 +21,7 @@ def kac_matrix(n: int) -> ExactMatrix:
     """Tridiagonal integer matrix with zero diagonal, subdiagonal n-i,
     superdiagonal i+1 at row i."""
     _check_size(n)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        rows[i][i - 1] = n - i
-    for i in range(n - 1):
-        rows[i][i + 1] = i + 1
-    return ExactMatrix(rows)
+    return ExactMatrix.tridiagonal(range(n - 1, 0, -1), [0] * n, range(1, n))
 
 
 def kac_eigenvalues(n: int) -> tuple[int, ...]:

@@ -26,6 +26,9 @@ lambda^3 term.  Energies map back through
 
     E = beta*D + 2*sqrt(2*gamma*D) * eps = sqrt(2*gamma) * (t*D + 2*sqrt(D)*eps).
 
+:func:`qes_matrix` and :func:`general_matrix` return a matrix as its
+three diagonals ``(lower, diag, upper)``, tuples of ``Fraction`` of
+lengths n-1, n and n-1, so no n x n structure is ever built for them.
 All construction here is exact; floating point appears only in the final
 energy map and in wavefunction evaluation.
 """
@@ -37,6 +40,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ExactMatrix, Scalar, TPoly, as_rational
+
+# a tridiagonal matrix as its (sub, main, super) diagonals
+Diagonals = tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]
 
 
 @dataclass(frozen=True)
@@ -105,24 +111,15 @@ def qes_coupling(params: ModelParams, dim: Scalar) -> Fraction:
     return params.beta**2 - params.gamma * (4 * params.n + 2 * params.k + d - 2)
 
 
-def qes_matrix(params: ModelParams, dim: Scalar) -> ExactMatrix:
+def qes_matrix(params: ModelParams, dim: Scalar) -> Diagonals:
     """The n x n tridiagonal matrix whose eigenvalues are the n exactly
-    terminating bound-state energies."""
-    d = _check_dim(dim)
-    n, k, beta, gamma = params.n, params.k, params.beta, params.gamma
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for m in range(n):
-        rows[m][m] = beta * (4 * m + 2 * k + d)
-        if m >= 1:
-            rows[m][m - 1] = 4 * gamma * (m - n)
-        if m + 1 < n:
-            rows[m][m + 1] = -2 * (m + 1) * (2 * m + 2 * k + d)
-    return ExactMatrix(rows)
+    terminating bound-state energies, as its diagonals."""
+    return general_matrix(params.n, qes_coupling(params, dim), params, dim)
 
 
 def general_matrix(
     n_trunc: int, coupling_a: Scalar, params: ModelParams, dim: Scalar
-) -> ExactMatrix:
+) -> Diagonals:
     """Truncation of the un-terminated infinite matrix with a free
     quadratic coupling: subdiagonal gamma*(4m + 2l + 1) + a - beta^2.
 
@@ -136,14 +133,12 @@ def general_matrix(
     d = _check_dim(dim)
     a = as_rational(coupling_a)
     k, beta, gamma = params.k, params.beta, params.gamma
-    rows = [[Fraction(0)] * n_trunc for _ in range(n_trunc)]
-    for m in range(n_trunc):
-        rows[m][m] = beta * (4 * m + 2 * k + d)
-        if m >= 1:
-            rows[m][m - 1] = gamma * (4 * m + 2 * k + d - 2) + a - beta**2
-        if m + 1 < n_trunc:
-            rows[m][m + 1] = -2 * (m + 1) * (2 * m + 2 * k + d)
-    return ExactMatrix(rows)
+    lower = tuple(
+        gamma * (4 * m + 2 * k + d - 2) + a - beta**2 for m in range(1, n_trunc)
+    )
+    diag = tuple(beta * (4 * m + 2 * k + d) for m in range(n_trunc))
+    upper = tuple(-2 * (m + 1) * (2 * m + 2 * k + d) for m in range(n_trunc - 1))
+    return lower, diag, upper
 
 
 def perturbation_split(params: ModelParams) -> PerturbationSplit:
@@ -192,16 +187,11 @@ def split_reassembly_residual(params: ModelParams, rho: int) -> ExactMatrix:
         raise ValueError("rho must be a positive integer")
     gamma, beta = params.gamma, params.beta
     d = 2 * gamma * rho**2
-    q = qes_matrix(params, d)
-
+    lower, diag, upper = qes_matrix(params, d)
     # S Q S^-1 with S = diag(rho^j): subdiagonal * rho, superdiagonal / rho
-    n = params.n
-    rescaled = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            entry = q[i, j].coefficient(0)
-            if entry:
-                rescaled[i][j] = entry * Fraction(rho) ** (i - j)
+    rescaled = ExactMatrix.tridiagonal(
+        [x * rho for x in lower], diag, [x / rho for x in upper]
+    )
 
     split = perturbation_split(params)
     lam_t = beta / (2 * gamma * rho)  # lambda * t, rational here
@@ -211,8 +201,8 @@ def split_reassembly_residual(params: ModelParams, rho: int) -> ExactMatrix:
     )
     assembled = split.h0 + h1_num + split.h2 * lam_sq
     scale = 2 * (2 * gamma * rho)  # 2*sqrt(2*gamma*D)
-    expected = ExactMatrix.diagonal([beta * d] * n) + assembled * scale
-    return ExactMatrix(rescaled) - expected
+    expected = ExactMatrix.diagonal([beta * d] * params.n) + assembled * scale
+    return rescaled - expected
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 Deliberately independent of the exact layer: plain IEEE doubles, Sturm
 bisection with guaranteed eigenvalue counts, and inverse iteration for
-eigenvectors.  The tridiagonal matrices arriving here are asymmetric but
-have positive subdiagonal*superdiagonal products, so a diagonal
-similarity maps them to symmetric form with the same spectrum, which is
-where the reality of the spectrum comes from.
+eigenvectors with an O(n) tridiagonal LU (LAPACK ``dgttrf``/``dgttrs``).
+Model matrices arrive as the three exact diagonals built by ``model``,
+which :meth:`TridiagonalReal.from_exact` rounds to doubles.  They are
+asymmetric but have positive subdiagonal*superdiagonal products, so a
+diagonal similarity maps them to symmetric form with the same spectrum,
+which is where the reality of the spectrum comes from.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .exact import ExactMatrix
 from .model import (
     ModelParams,
     RadialWavefunction,
@@ -46,21 +47,13 @@ class TridiagonalReal:
         return len(self.diag)
 
     @classmethod
-    def from_exact(cls, matrix: ExactMatrix) -> "TridiagonalReal":
-        if matrix.max_degree() > 0:
-            raise ValueError("matrix entries depend on t; substitute first")
-        n = matrix.n
-        for i in range(n):
-            for j in range(n):
-                if abs(i - j) > 1 and not matrix[i, j].is_zero:
-                    raise ValueError("matrix is not tridiagonal")
-        def entry(i, j):
-            return float(matrix[i, j].coefficient(0))
-
+    def from_exact(cls, diagonals) -> "TridiagonalReal":
+        """Nearest doubles to exact rational diagonals (lower, diag, upper)."""
+        lower, diag, upper = diagonals
         return cls(
-            diag=tuple(entry(i, i) for i in range(n)),
-            lower=tuple(entry(i + 1, i) for i in range(n - 1)),
-            upper=tuple(entry(i, i + 1) for i in range(n - 1)),
+            diag=tuple(map(float, diag)),
+            lower=tuple(map(float, lower)),
+            upper=tuple(map(float, upper)),
         )
 
     def apply(self, vec: list[float]) -> list[float]:
@@ -177,28 +170,23 @@ def tridiagonal_spectrum(m: TridiagonalReal, tol: float = 1e-12) -> list[float]:
     spectrum need not be real.
     """
     values: list[float] = []
-    start = 0
-    for i in range(m.n - 1):
-        p = m.lower[i] * m.upper[i]
-        if p < 0.0:
-            raise ValueError(
-                "matrix not symmetrizable: negative off-diagonal product"
-            )
-        if p == 0.0:
-            values.extend(_block_eigenvalues(m, start, i + 1, tol))
-            start = i + 1
-    values.extend(_block_eigenvalues(m, start, m.n, tol))
+    for block in _irreducible_blocks(m):
+        values.extend(bisection_eigenvalues(*symmetrize(block), tol))
     return sorted(values)
 
 
-def _block_eigenvalues(
-    m: TridiagonalReal, start: int, stop: int, tol: float
-) -> list[float]:
-    diag = m.diag[start:stop]
-    off = [
-        math.sqrt(m.lower[i] * m.upper[i]) for i in range(start, stop - 1)
-    ]
-    return bisection_eigenvalues(diag, off, tol)
+def _irreducible_blocks(m: TridiagonalReal):
+    """The diagonal blocks of m between the rows where lower*upper
+    vanishes, in order."""
+    start = 0
+    for i in range(m.n):
+        if i + 1 == m.n or m.lower[i] * m.upper[i] == 0.0:
+            yield TridiagonalReal(
+                diag=m.diag[start:i + 1],
+                lower=m.lower[start:i],
+                upper=m.upper[start:i],
+            )
+            start = i + 1
 
 
 def inverse_iteration(
@@ -252,43 +240,44 @@ def _fix_sign(vec: list[float]) -> list[float]:
 
 
 def _shifted_solver(m: TridiagonalReal, shift: float):
-    """LU factorization with partial pivoting of (M - shift*I); returns a
-    solve callback.  Dense: the matrices here are small."""
+    """LU factorization with partial pivoting of the tridiagonal
+    (M - shift*I), as LAPACK dgttrf; returns a solve callback (dgttrs).
+
+    Rows swap only when the subdiagonal entry is larger in magnitude than
+    the pivot, which leaves one fill-in superdiagonal du2 in U.  Pivots
+    below a few ulps of ||M|| are clamped to that size, so the shift may
+    sit on an eigenvalue.
+    """
     n = m.n
-    a = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        a[i][i] = m.diag[i] - shift
-        if i > 0:
-            a[i][i - 1] = m.lower[i - 1]
-        if i + 1 < n:
-            a[i][i + 1] = m.upper[i]
-    perm = list(range(n))
     tiny = _EPS * max(m.inf_norm(), abs(shift), 1.0)
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            perm[col], perm[pivot_row] = perm[pivot_row], perm[col]
-        pivot = a[col][col]
-        if abs(pivot) < tiny:
-            pivot = tiny if pivot >= 0 else -tiny
-            a[col][col] = pivot
-        for row in range(col + 1, n):
-            factor = a[row][col] / pivot
-            a[row][col] = factor
-            for j in range(col + 1, n):
-                a[row][j] -= factor * a[col][j]
+    d = [x - shift for x in m.diag]
+    dl, du = list(m.lower), list(m.upper) + [0.0]
+    du2, swapped = [0.0] * n, [False] * n
+    for i in range(n):
+        if i + 1 < n and abs(dl[i]) > abs(d[i]):
+            swapped[i] = True
+            d[i], dl[i] = dl[i], d[i]
+            du[i], d[i + 1] = d[i + 1], du[i]
+            du2[i], du[i + 1] = du[i + 1], du2[i]
+        if abs(d[i]) < tiny:
+            d[i] = tiny if d[i] >= 0 else -tiny
+        if i + 1 < n:
+            dl[i] /= d[i]
+            d[i + 1] -= dl[i] * du[i]
+            du[i + 1] -= dl[i] * du2[i]
 
     def solve(b: list[float]) -> list[float]:
-        y = [b[perm[i]] for i in range(n)]
-        for i in range(n):
-            for j in range(i):
-                y[i] -= a[i][j] * y[j]
-        x = y[:]
+        x = list(b)
+        for i in range(n - 1):
+            if swapped[i]:
+                x[i], x[i + 1] = x[i + 1], x[i]
+            x[i + 1] -= dl[i] * x[i]
         for i in reversed(range(n)):
-            for j in range(i + 1, n):
-                x[i] -= a[i][j] * x[j]
-            x[i] /= a[i][i]
+            if i + 1 < n:
+                x[i] -= du[i] * x[i + 1]
+            if i + 2 < n:
+                x[i] -= du2[i] * x[i + 2]
+            x[i] /= d[i]
         return x
 
     return solve
@@ -305,36 +294,24 @@ def truncated_spectrum(
     dim,
     n_trunc: int,
     tol: float = 1e-12,
-    coupling=None,
 ) -> list[float]:
     """Real eigenvalues of the n_trunc-truncated un-terminated matrix.
 
-    With the default (terminating) coupling the subdiagonal vanishes
-    exactly at the block-size row, so the matrix decouples and its
+    With the terminating coupling the subdiagonal vanishes exactly at
+    the block-size row, so the matrix decouples and its
     spectrum contains the whole QES spectrum.  Beyond that row the
     subdiagonal changes sign, making the tail block non-symmetrizable:
     its eigenvalues are largely complex truncation artifacts of an
     unbounded recursion and are omitted here.  Only decoupled blocks
     with positive off-diagonal products contribute.
     """
-    if coupling is None:
-        coupling = qes_coupling(params, dim)
     matrix = TridiagonalReal.from_exact(
-        general_matrix(n_trunc, coupling, params, dim)
+        general_matrix(n_trunc, qes_coupling(params, dim), params, dim)
     )
     values: list[float] = []
-    start = 0
-    blocks = []
-    for i in range(matrix.n - 1):
-        if matrix.lower[i] * matrix.upper[i] == 0.0:
-            blocks.append((start, i + 1))
-            start = i + 1
-    blocks.append((start, matrix.n))
-    for lo, hi in blocks:
-        if all(
-            matrix.lower[i] * matrix.upper[i] > 0.0 for i in range(lo, hi - 1)
-        ):
-            values.extend(_block_eigenvalues(matrix, lo, hi, tol))
+    for block in _irreducible_blocks(matrix):
+        if all(lo * up > 0.0 for lo, up in zip(block.lower, block.upper)):
+            values.extend(bisection_eigenvalues(*symmetrize(block), tol))
     return sorted(values)
 
 

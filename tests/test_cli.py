@@ -206,6 +206,38 @@ def test_invalid_parameters_exit_nonzero():
     assert out.returncode == 2
 
 
+def assert_rejected(out, argument):
+    # exit 2, nothing on stdout, and an error line naming the argument
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+    last = out.stderr.strip().splitlines()[-1]
+    assert "error" in last and argument in last
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-3", "x"])
+def test_tol_must_be_finite_and_positive(value):
+    out = run_cli("spectrum", "-N", "2", "-D", "3", "--tol", value, check=False)
+    assert_rejected(out, "--tol")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-3"])
+def test_rmax_must_be_finite_and_positive(value):
+    out = run_cli("wavefunction", "-N", "2", "-D", "3", "--rmax", value,
+                  check=False)
+    assert_rejected(out, "--rmax")
+
+
+@pytest.mark.parametrize("args", [
+    ("spectrum", "-N", "2", "-D", "1e400"),
+    ("series", "-N", "2", "-K", "4", "-D", "100,1e400"),
+    ("validate", "-N", "2", "-D", "1e400"),
+    ("wavefunction", "-N", "2", "-D", "1e400"),
+])
+def test_dimension_beyond_float64_rejected(args):
+    assert_rejected(run_cli(*args, check=False), "-D")
+
+
 @pytest.mark.parametrize(
     "name,args",
     [
@@ -215,6 +247,9 @@ def test_invalid_parameters_exit_nonzero():
         ("pmatrix_N4.json", ("pmatrix", "-N", "4")),
         ("pmatrix_N5.json", ("pmatrix", "-N", "5")),
         ("series_N2_k0_K5.json", ("series", "-N", "2", "-k", "0", "-K", "5")),
+        ("spectrum_N5_k1_show_matrix_general.json",
+         ("spectrum", "-N", "5", "-k", "1", "--beta", "3/2", "--gamma", "1/2",
+          "-D", "7/2", "--show-matrix", "--general", "9")),
     ],
 )
 def test_golden_outputs_byte_stable(name, args):

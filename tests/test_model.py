@@ -53,14 +53,21 @@ def test_coupling_values():
 
 def test_single_state_matrix():
     for k, beta, d in [(0, 1, 3), (3, 2, 5), (1, Fraction(1, 2), 7)]:
-        m = qes_matrix(params(1, k, beta=beta), d)
-        assert m.n == 1
-        assert m[0, 0] == TPoly.constant(Fraction(beta) * (2 * k + d))
+        lower, diag, upper = qes_matrix(params(1, k, beta=beta), d)
+        assert lower == () and upper == ()
+        assert diag == (Fraction(beta) * (2 * k + d),)
 
 
 def test_two_state_matrix_entries():
-    m = qes_matrix(params(2, 0), 3)
-    assert m == ExactMatrix([[3, -6], [-4, 7]])
+    # [[3, -6], [-4, 7]] as (subdiagonal, diagonal, superdiagonal)
+    assert qes_matrix(params(2, 0), 3) == ((-4,), (3, 7), (-6,))
+
+
+def test_qes_matrix_is_three_exact_diagonals_at_large_n():
+    lower, diag, upper = qes_matrix(params(10_000, 0), 10)
+    assert (len(lower), len(diag), len(upper)) == (9_999, 10_000, 9_999)
+    assert all(type(e) is Fraction for e in lower + diag + upper)
+    assert (lower[0], diag[0], upper[0]) == (4 * (1 - 10_000), 10, -20)
 
 
 def test_two_state_eigenvalues_match_quadratic_formula():
@@ -74,13 +81,13 @@ def test_general_matrix_terminating_row_vanishes():
     p = params(3, 1, beta=Fraction(2, 3), gamma=Fraction(5, 4))
     d = Fraction(7, 2)
     a = qes_coupling(p, d)
-    g = general_matrix(10, a, p, d)
-    assert g[p.n, p.n - 1].is_zero  # exact zero, not small
+    g_lower, g_diag, g_upper = general_matrix(10, a, p, d)
+    assert g_lower[p.n - 1] == 0  # exact zero, not small
     # and the terminating block equals the dedicated constructor
-    q = qes_matrix(p, d)
-    for i in range(p.n):
-        for j in range(p.n):
-            assert g[i, j] == q[i, j]
+    q_lower, q_diag, q_upper = qes_matrix(p, d)
+    assert g_lower[:p.n - 1] == q_lower
+    assert g_diag[:p.n] == q_diag
+    assert g_upper[:p.n - 1] == q_upper
 
 
 def test_general_matrix_equals_qes_matrix_at_same_size():
@@ -210,10 +217,9 @@ def test_offdiagonal_products_strictly_positive():
             Fraction(rng.randint(1, 20), rng.randint(1, 10)),
         )
         d = Fraction(rng.randint(1, 30), rng.randint(1, 4))
-        q = qes_matrix(p, d)
-        for i in range(1, p.n):
-            product = q[i, i - 1].coefficient(0) * q[i - 1, i].coefficient(0)
-            assert product > 0
+        lower, _, upper = qes_matrix(p, d)
+        for lo, up in zip(lower, upper):
+            assert lo * up > 0
 
 
 def test_wavefunction_single_term_value():

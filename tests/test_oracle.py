@@ -2,11 +2,13 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from qes_sextic.kac import kac_involution, kac_matrix
+from qes_sextic import oracle
+from qes_sextic.kac import kac_involution
 from qes_sextic.model import ModelParams, qes_coupling, qes_matrix
 from qes_sextic.oracle import (
     TridiagonalReal,
@@ -17,6 +19,16 @@ from qes_sextic.oracle import (
     symmetrize,
     tridiagonal_spectrum,
 )
+
+
+def kac_tridiagonal(n):
+    """The Kac matrix: zero diagonal, subdiagonal n-i and superdiagonal i+1
+    at row i."""
+    return TridiagonalReal.from_exact((
+        tuple(Fraction(n - i) for i in range(1, n)),
+        (Fraction(0),) * n,
+        tuple(Fraction(i + 1) for i in range(n - 1)),
+    ))
 
 
 def test_symmetrize_example():
@@ -47,7 +59,7 @@ def test_bisection_two_by_two():
 
 
 def test_bisection_on_limit_matrix():
-    m = TridiagonalReal.from_exact(kac_matrix(4))
+    m = kac_tridiagonal(4)
     values = tridiagonal_spectrum(m, 1e-12)
     for got, want in zip(values, (-3.0, -1.0, 1.0, 3.0)):
         assert got == pytest.approx(want, abs=1e-11)
@@ -116,12 +128,13 @@ def test_characteristic_polynomial_preserved_by_symmetrization():
     for n, k in ((2, 0), (3, 1), (4, 0), (5, 2)):
         p = ModelParams(n, k, Fraction(1), Fraction(1))
         q = qes_matrix(p, 7)
+        lower, q_diag, upper = q
 
         exact = [Fraction(1)]  # leading coefficient of p_0
-        polys = [[Fraction(1)], [-q[0, 0].coefficient(0), Fraction(1)]]
+        polys = [[Fraction(1)], [-q_diag[0], Fraction(1)]]
         for i in range(1, n):
-            d = q[i, i].coefficient(0)
-            prod = q[i, i - 1].coefficient(0) * q[i - 1, i].coefficient(0)
+            d = q_diag[i]
+            prod = lower[i - 1] * upper[i - 1]
             nxt = [Fraction(0)] * (i + 2)
             for m_idx, c in enumerate(polys[-1]):
                 nxt[m_idx + 1] += c
@@ -155,7 +168,7 @@ def test_inverse_iteration_single_state():
 
 
 def test_inverse_iteration_limit_matrix_direction():
-    m = TridiagonalReal.from_exact(kac_matrix(3))
+    m = kac_tridiagonal(3)
     vec = inverse_iteration(m, 2.0)
     expected = [1.0 / math.sqrt(6), 2.0 / math.sqrt(6), 1.0 / math.sqrt(6)]
     for got, want in zip(vec, expected):
@@ -177,7 +190,7 @@ def test_inverse_iteration_residual_bound():
 def test_eigenvector_matches_exact_column():
     # the limit matrix has exactly known integer eigenvectors
     dec = kac_involution(5)
-    m = TridiagonalReal.from_exact(dec.t_matrix)
+    m = kac_tridiagonal(5)
     for j, z in enumerate(dec.z):
         vec = inverse_iteration(m, float(z))
         column = [float(dec.m[i, j].coefficient(0)) for i in range(5)]
@@ -225,3 +238,93 @@ def test_wavefunction_coefficients_solve_exact_system():
     applied = m.apply(list(wf.h))
     for got, hv in zip(applied, wf.h):
         assert got == pytest.approx(energy * hv, abs=1e-8)
+
+
+def _dense_shifted_solver(m: TridiagonalReal, shift: float):
+    """Reference: dense LU with partial pivoting of (M - shift*I), the
+    solver inverse iteration used before the O(n) tridiagonal LU."""
+    n = m.n
+    a = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = m.diag[i] - shift
+        if i > 0:
+            a[i][i - 1] = m.lower[i - 1]
+        if i + 1 < n:
+            a[i][i + 1] = m.upper[i]
+    perm = list(range(n))
+    tiny = sys.float_info.epsilon * max(m.inf_norm(), abs(shift), 1.0)
+    for col in range(n):
+        pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            perm[col], perm[pivot_row] = perm[pivot_row], perm[col]
+        pivot = a[col][col]
+        if abs(pivot) < tiny:
+            pivot = tiny if pivot >= 0 else -tiny
+            a[col][col] = pivot
+        for row in range(col + 1, n):
+            factor = a[row][col] / pivot
+            a[row][col] = factor
+            for j in range(col + 1, n):
+                a[row][j] -= factor * a[col][j]
+
+    def solve(b: list[float]) -> list[float]:
+        y = [b[perm[i]] for i in range(n)]
+        for i in range(n):
+            for j in range(i):
+                y[i] -= a[i][j] * y[j]
+        x = y[:]
+        for i in reversed(range(n)):
+            for j in range(i + 1, n):
+                x[i] -= a[i][j] * x[j]
+            x[i] /= a[i][i]
+        return x
+
+    return solve
+
+
+def _bits(values):
+    # the dense reference also subtracts the exact zeros outside the band,
+    # which can turn a -0.0 into +0.0; adding +0.0 maps -0.0 to +0.0 and
+    # leaves every other value, so what is compared is every bit but the
+    # sign of a zero
+    return [(v + 0.0).hex() for v in values]
+
+
+# (N, D, states) on k=0, beta=gamma=1; inverse iteration does not
+# converge at N=200 for state 100 at D=3 and for states 0, 100, 199 at
+# D=100, with either solver
+LU_GRID = [
+    (1, 3, (0,)),
+    (2, 3, (0, 1)),
+    (5, 100, (0, 2, 4)),
+    (50, 3, (0, 25, 49)),
+    (110, 100, (0, 55, 109)),
+    (200, 3, (0, 100, 199)),
+    (200, 100, (0, 100, 199)),
+]
+
+
+@pytest.mark.parametrize("n,dim,states", LU_GRID)
+def test_tridiagonal_lu_matches_dense_reference(n, dim, states, monkeypatch):
+    p = ModelParams(n, 0, Fraction(1), Fraction(1))
+    m = TridiagonalReal.from_exact(qes_matrix(p, dim))
+    values = tridiagonal_spectrum(m)
+    tridiagonal_lu = oracle._shifted_solver
+    rng = random.Random(n)
+    for state in states:
+        shift = values[state]
+        fast = tridiagonal_lu(m, shift)
+        dense = _dense_shifted_solver(m, shift)
+        for rhs in ([1.0 / math.sqrt(n)] * n,
+                    [rng.uniform(-1.0, 1.0) for _ in range(n)]):
+            assert _bits(fast(rhs)) == _bits(dense(rhs))
+
+        outcomes = []
+        for solver in (tridiagonal_lu, _dense_shifted_solver):
+            monkeypatch.setattr(oracle, "_shifted_solver", solver)
+            try:
+                outcomes.append(_bits(inverse_iteration(m, shift)))
+            except RuntimeError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
