@@ -37,15 +37,27 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _dimension(text: str) -> Fraction:
-    value = _rational(text)
-    try:
-        float(value)
-    except OverflowError:
-        raise argparse.ArgumentTypeError(
-            f"dimension beyond the float64 range: {text!r}"
-        ) from None
-    return value
+def _float64_rational(name: str):
+    """Argument type: a rational that converts to a finite float64 that is
+    not 0.0 unless the rational is 0."""
+
+    def convert(text: str) -> Fraction:
+        value = _rational(text)
+        try:
+            in_range = bool(float(value)) or not value
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise argparse.ArgumentTypeError(
+                f"{name} beyond the float64 range: {text!r}"
+            )
+        return value
+
+    return convert
+
+
+_dimension = _float64_rational("dimension")
+_coupling = _float64_rational("coupling")
 
 
 def _dimension_list(text: str) -> list[Fraction]:
@@ -70,9 +82,9 @@ def _add_model_arguments(parser: argparse.ArgumentParser, with_k: bool = True):
     if with_k:
         parser.add_argument("-k", dest="k", type=int, default=0,
                             help="angular momentum (default 0)")
-    parser.add_argument("--beta", type=_rational, default=Fraction(1),
+    parser.add_argument("--beta", type=_coupling, default=Fraction(1),
                         help="quartic-envelope coupling, rational (default 1)")
-    parser.add_argument("--gamma", type=_rational, default=Fraction(1),
+    parser.add_argument("--gamma", type=_coupling, default=Fraction(1),
                         help="sextic coupling, rational (default 1)")
 
 
@@ -102,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="maximum correction order (default 10)")
     p.add_argument("-D", dest="dims", type=_dimension_list, default=[],
                    help="comma-separated dimensions for numeric evaluation")
-    p.add_argument("--t", dest="t_value", type=_rational, default=None,
+    p.add_argument("--t", dest="t_value", type=_float64_rational("t"), default=None,
                    help="rational t to substitute into the coefficients")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_series)
@@ -273,6 +285,8 @@ def cmd_series(args) -> int:
                 energy_series(result, j, params, dim, t_value=t_float)[1]
                 for j in range(params.n)
             ]
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"energy at D={dim} is beyond the float64 range")
             evaluations.append({
                 "D": str(dim),
                 "lambda": 1.0 / math.sqrt(float(dim)),

@@ -328,9 +328,6 @@ class ExactMatrix:
 
     __rmul__ = __mul__
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(zip(*self.rows)))
-
     def diagonal_entries(self) -> tuple[TPoly, ...]:
         return tuple(self.rows[i][i] for i in range(self.n))
 
@@ -346,9 +343,6 @@ class ExactMatrix:
         if self.max_degree() > 0:
             raise ValueError("matrix entries depend on t; not a scalar matrix")
         return [[str(e.coefficient(0)) for e in row] for row in self.rows]
-
-    def to_poly_strings(self) -> list[list[list[str]]]:
-        return [[e.to_strings() for e in row] for row in self.rows]
 
     def __repr__(self) -> str:
         body = "; ".join(

@@ -220,11 +220,17 @@ class RadialWavefunction:
     def value(self, r: float) -> float:
         if r <= 0:
             raise ValueError("radius must be positive")
-        envelope = math.exp(-0.5 * self.beta * r * r - 0.25 * self.gamma * r**4)
-        poly = 0.0
-        for coeff in reversed(self.h):
-            poly = poly * r * r + coeff
-        return poly * r ** (self.ell + 1.0) * envelope
+        try:
+            envelope = math.exp(-0.5 * self.beta * r * r - 0.25 * self.gamma * r**4)
+            poly = 0.0
+            for coeff in reversed(self.h):
+                poly = poly * r * r + coeff
+            psi = poly * r ** (self.ell + 1.0) * envelope
+        except OverflowError:
+            psi = math.inf
+        if not math.isfinite(psi):
+            raise ValueError(f"psi({r!r}) is beyond the float64 range")
+        return psi
 
 
 def _check_dim(dim: Scalar) -> Fraction:

@@ -1,19 +1,18 @@
 """Floating-point spectral routines that cross-check the exact results.
 
-Deliberately independent of the exact layer: plain IEEE doubles, Sturm
-bisection with guaranteed eigenvalue counts, and inverse iteration for
-eigenvectors with an O(n) tridiagonal LU (LAPACK ``dgttrf``/``dgttrs``).
+Deliberately independent of the exact layer: plain IEEE doubles.
 Model matrices arrive as the three exact diagonals built by ``model``,
 which :meth:`TridiagonalReal.from_exact` rounds to doubles.  They are
 asymmetric but have positive subdiagonal*superdiagonal products, so a
 diagonal similarity maps them to symmetric form with the same spectrum,
-which is where the reality of the spectrum comes from.
+which is where the reality of the spectrum comes from.  Eigenvalues come
+from one Sturm bisection of that symmetric form shared by all of them (as
+LAPACK ``dstebz``), eigenvectors from one twisted factorization each.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import sys
 from dataclasses import dataclass
 
@@ -50,11 +49,16 @@ class TridiagonalReal:
     def from_exact(cls, diagonals) -> "TridiagonalReal":
         """Nearest doubles to exact rational diagonals (lower, diag, upper)."""
         lower, diag, upper = diagonals
-        return cls(
-            diag=tuple(map(float, diag)),
-            lower=tuple(map(float, lower)),
-            upper=tuple(map(float, upper)),
-        )
+        try:
+            return cls(
+                diag=tuple(map(float, diag)),
+                lower=tuple(map(float, lower)),
+                upper=tuple(map(float, upper)),
+            )
+        except OverflowError:
+            raise ValueError(
+                "matrix entry beyond the float64 range (beta, gamma or D too large)"
+            ) from None
 
     def apply(self, vec: list[float]) -> list[float]:
         out = []
@@ -82,19 +86,24 @@ class TridiagonalReal:
 def symmetrize(m: TridiagonalReal) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Diagonal similarity to symmetric form: offdiag = sqrt(lower*upper).
 
-    Requires every product lower[i]*upper[i] > 0; the spectrum is
+    Requires every product lower[i]*upper[i] > 0 and finite; the spectrum is
     preserved and therefore real.
     """
     off = []
     for lo, up in zip(m.lower, m.upper):
         p = lo * up
-        if p <= 0.0:
+        if not 0.0 < p < math.inf:
             raise ValueError(
-                "matrix not symmetrizable: subdiagonal*superdiagonal "
-                f"product {p!r} is not positive"
+                "matrix not symmetrizable in float64: subdiagonal*superdiagonal "
+                f"product {p!r} is not positive and finite"
             )
         off.append(math.sqrt(p))
     return m.diag, tuple(off)
+
+
+def _pivmin(off_sq) -> float:
+    """Smallest pivot magnitude allowed in an LDL^T recurrence."""
+    return sys.float_info.min * max(1.0, max(off_sq, default=1.0))
 
 
 def _sturm_count(
@@ -129,7 +138,7 @@ def bisection_eigenvalues(
     if len(offdiag) != n - 1:
         raise ValueError("off-diagonal must have length n-1")
     off_sq = tuple(e * e for e in offdiag)
-    pivmin = sys.float_info.min * max(1.0, max(off_sq, default=1.0))
+    pivmin = _pivmin(off_sq)
 
     radii = [
         (abs(offdiag[i - 1]) if i > 0 else 0.0)
@@ -141,21 +150,28 @@ def bisection_eigenvalues(
     margin = tol + _EPS * max(abs(glo), abs(ghi), 1.0)
     glo -= margin
     ghi += margin
+    if not -math.inf < glo <= ghi < math.inf:
+        raise ValueError("eigenvalue bounds beyond the float64 range")
     if _sturm_count(diag, off_sq, ghi, pivmin) != n:
         raise RuntimeError("eigenvalue count failed at the upper bound")
 
-    values = []
-    for k in range(n):
-        lo, hi = glo, ghi
-        for _ in range(300):
-            if hi - lo <= tol + 2.0 * _EPS * max(abs(lo), abs(hi)):
-                break
-            mid = 0.5 * (lo + hi)
-            if _sturm_count(diag, off_sq, mid, pivmin) >= k + 1:
-                hi = mid
-            else:
-                lo = mid
-        values.append(0.5 * (lo + hi))
+    # one descent shared by all eigenvalues: bracket (lo, hi] holds indices
+    # count(lo) .. count(hi)-1; clamping a count into that range splits them
+    # as one bisection per index would, so the values are the same
+    values: list[float] = []
+    stack = [(glo, 0, ghi, n, 0)]
+    while stack:
+        lo, count_lo, hi, count_hi, depth = stack.pop()
+        if depth == 300 or hi - lo <= tol + 2.0 * _EPS * max(abs(lo), abs(hi)):
+            values.extend([0.5 * lo + 0.5 * hi] * (count_hi - count_lo))
+            continue
+        mid = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
+        count = _sturm_count(diag, off_sq, mid, pivmin)
+        count = min(max(count, count_lo), count_hi)
+        if count < count_hi:
+            stack.append((mid, count, hi, count_hi, depth + 1))
+        if count > count_lo:
+            stack.append((lo, count_lo, mid, count, depth + 1))
     return values
 
 
@@ -189,44 +205,58 @@ def _irreducible_blocks(m: TridiagonalReal):
             start = i + 1
 
 
-def inverse_iteration(
-    m: TridiagonalReal,
-    eigenvalue: float,
-    max_iterations: int = 50,
-    residual_factor: float = 1e-10,
-) -> list[float]:
-    """Unit right eigenvector for an approximate eigenvalue.
+def inverse_iteration(m: TridiagonalReal, eigenvalue: float) -> list[float]:
+    """Unit right eigenvector for an accurate eigenvalue, in one step.
 
-    Converged when ||(M - eigenvalue*I) v|| <= residual_factor * ||M||.
-    The sign is fixed so the largest-magnitude component is positive.
+    Twisted factorization of the symmetric form T (LAPACK ``dlar1v``):
+    with top-down and bottom-up pivots d and r of T - eigenvalue, twist at
+    the row k of smallest |d_k + r_k - (T_kk - eigenvalue)|, set v_k = 1
+    and run the factors' two-term recurrences outwards.  The similarity
+    S[i+1]/S[i] = lower[i]/off[i] back to m is folded into them.  The
+    components span hundreds of decades, so each carries its own binary
+    exponent until the normalization.  Raises RuntimeError unless
+    ||(M - eigenvalue) v||_2 <= 1e-10 * max(||M||_inf, 1).
     """
+    diag, off = symmetrize(m)
     n = m.n
-    norm_m = m.inf_norm()
-    target = residual_factor * max(norm_m, 1.0)
-    solve = _shifted_solver(m, eigenvalue)
+    off_sq = tuple(e * e for e in off)
+    pivmin = _pivmin(off_sq)
+    down = _pivots(diag, off_sq, eigenvalue, pivmin)
+    up = _pivots(diag[::-1], off_sq[::-1], eigenvalue, pivmin)[::-1]
+    gamma = [d + u - (a - eigenvalue) for d, u, a in zip(down, up, diag)]
+    twist = min(range(n), key=lambda i: abs(gamma[i]))
 
-    vec = [1.0 / math.sqrt(n)] * n
-    for attempt in range(2):
-        if attempt == 1:
-            rng = random.Random(12345)
-            vec = [rng.uniform(-1.0, 1.0) for _ in range(n)]
-            scale = math.sqrt(sum(v * v for v in vec))
-            vec = [v / scale for v in vec]
-        for _ in range(max_iterations):
-            new = solve(vec)
-            scale = math.sqrt(sum(v * v for v in new))
-            if scale == 0.0 or not math.isfinite(scale):
-                break
-            vec = [v / scale for v in new]
-            applied = m.apply(vec)
-            residual = math.sqrt(
-                sum((a - eigenvalue * v) ** 2 for a, v in zip(applied, vec))
-            )
-            if residual <= target:
-                return _fix_sign(vec)
-    raise RuntimeError(
-        f"inverse iteration did not converge for eigenvalue {eigenvalue!r}"
+    mantissa, exponent = [0.5] * n, [1] * n  # v[i] = mantissa[i] * 2**exponent[i]
+    for i in reversed(range(twist)):
+        mantissa[i], e = math.frexp(-m.upper[i] / down[i] * mantissa[i + 1])
+        exponent[i] = exponent[i + 1] + e
+    for i in range(twist + 1, n):
+        mantissa[i], e = math.frexp(-m.lower[i - 1] / up[i] * mantissa[i - 1])
+        exponent[i] = exponent[i - 1] + e
+    top = max(exponent)
+    vec = [math.ldexp(f, e - top) for f, e in zip(mantissa, exponent)]
+    scale = math.sqrt(sum(v * v for v in vec))
+    vec = [v / scale for v in vec]
+
+    residual = math.sqrt(
+        sum((a - eigenvalue * v) ** 2 for a, v in zip(m.apply(vec), vec))
     )
+    if not residual <= 1e-10 * max(m.inf_norm(), 1.0):
+        raise RuntimeError(
+            f"no eigenvector for {eigenvalue!r}: residual {residual!r}")
+    return _fix_sign(vec)
+
+
+def _pivots(diag, off_sq, shift: float, pivmin: float) -> list[float]:
+    """LDL^T pivots of the shifted matrix, clamped as in _sturm_count."""
+    out = []
+    q = 1.0
+    for i, d in enumerate(diag):
+        q = (d - shift) if i == 0 else (d - shift) - off_sq[i - 1] / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        out.append(q)
+    return out
 
 
 def _fix_sign(vec: list[float]) -> list[float]:
@@ -237,50 +267,6 @@ def _fix_sign(vec: list[float]) -> list[float]:
         if abs(v) > 0.1 * peak:
             return [-u for u in vec] if v < 0 else vec
     return vec
-
-
-def _shifted_solver(m: TridiagonalReal, shift: float):
-    """LU factorization with partial pivoting of the tridiagonal
-    (M - shift*I), as LAPACK dgttrf; returns a solve callback (dgttrs).
-
-    Rows swap only when the subdiagonal entry is larger in magnitude than
-    the pivot, which leaves one fill-in superdiagonal du2 in U.  Pivots
-    below a few ulps of ||M|| are clamped to that size, so the shift may
-    sit on an eigenvalue.
-    """
-    n = m.n
-    tiny = _EPS * max(m.inf_norm(), abs(shift), 1.0)
-    d = [x - shift for x in m.diag]
-    dl, du = list(m.lower), list(m.upper) + [0.0]
-    du2, swapped = [0.0] * n, [False] * n
-    for i in range(n):
-        if i + 1 < n and abs(dl[i]) > abs(d[i]):
-            swapped[i] = True
-            d[i], dl[i] = dl[i], d[i]
-            du[i], d[i + 1] = d[i + 1], du[i]
-            du2[i], du[i + 1] = du[i + 1], du2[i]
-        if abs(d[i]) < tiny:
-            d[i] = tiny if d[i] >= 0 else -tiny
-        if i + 1 < n:
-            dl[i] /= d[i]
-            d[i + 1] -= dl[i] * du[i]
-            du[i + 1] -= dl[i] * du2[i]
-
-    def solve(b: list[float]) -> list[float]:
-        x = list(b)
-        for i in range(n - 1):
-            if swapped[i]:
-                x[i], x[i + 1] = x[i + 1], x[i]
-            x[i + 1] -= dl[i] * x[i]
-        for i in reversed(range(n)):
-            if i + 1 < n:
-                x[i] -= du[i] * x[i + 1]
-            if i + 2 < n:
-                x[i] -= du2[i] * x[i + 2]
-            x[i] /= d[i]
-        return x
-
-    return solve
 
 
 def qes_spectrum(params: ModelParams, dim, tol: float = 1e-12) -> list[float]:
@@ -318,8 +304,9 @@ def truncated_spectrum(
 def radial_wavefunction(
     params: ModelParams, dim, state: int, tol: float = 1e-12
 ) -> tuple[RadialWavefunction, float]:
-    """Taylor coefficients of the chosen bound state via inverse
-    iteration, plus its energy.  States are indexed by ascending energy."""
+    """Taylor coefficients of the chosen bound state, the eigenvector of
+    the model matrix, plus its energy.  States are indexed by ascending
+    energy."""
     if not 0 <= state < params.n:
         raise IndexError(f"state must be in 0..{params.n - 1}")
     matrix = TridiagonalReal.from_exact(qes_matrix(params, dim))

@@ -45,9 +45,6 @@ class SeriesResult:
     eps: tuple[tuple[TPoly, ...], ...]
     w: tuple[ExactMatrix, ...]
 
-    def eps_table(self, state: int) -> tuple[TPoly, ...]:
-        return tuple(self.eps[order][state] for order in range(self.max_order + 1))
-
     def w_order(self, order: int) -> ExactMatrix:
         if not 1 <= order <= self.max_order:
             raise IndexError(f"no correction matrix of order {order}")

@@ -238,6 +238,65 @@ def test_dimension_beyond_float64_rejected(args):
     assert_rejected(run_cli(*args, check=False), "-D")
 
 
+@pytest.mark.parametrize("args,argument", [
+    (("spectrum", "-N", "3", "-D", "10", "--gamma", "1e400"), "--gamma"),
+    (("spectrum", "-N", "3", "-D", "10", "--beta", "1e-400"), "--beta"),
+    (("wavefunction", "-N", "3", "-D", "10", "--gamma", "1e-400"), "--gamma"),
+    (("series", "-N", "2", "-K", "2", "--t", "1e400", "-D", "10"), "--t"),
+    (("validate", "-N", "2", "-D", "1e-400,10"), "-D"),
+])
+def test_float64_range_checked_at_argparse(args, argument):
+    assert_rejected(run_cli(*args, check=False), argument)
+
+
+def assert_one_line_error(out, words):
+    # exit 2, nothing on stdout, and exactly one error line
+    assert out.returncode == 2
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert all(word in lines[0] for word in words)
+
+
+@pytest.mark.parametrize("args,words", [
+    (("spectrum", "-N", "3", "-D", "1e300", "--beta", "1e300"), ("float64", "beta")),
+    (("spectrum", "-N", "3", "-D", "1e200", "--gamma", "1e200"), ("float64",)),
+    (("series", "-N", "2", "-K", "4", "--t", "1e300", "-D", "10"), ("float64", "D=10")),
+])
+def test_model_beyond_float64_is_one_line_error(args, words):
+    assert_one_line_error(run_cli(*args, check=False), words)
+
+
+@pytest.mark.parametrize("args", [
+    ("-N", "20", "-D", "1000000", "--state", "19"),
+    ("-N", "50", "-D", "100000", "--state", "0"),
+    ("-N", "200", "-D", "10000", "--state", "0"),
+])
+def test_wavefunction_overflow_is_one_line_error(args):
+    out = run_cli("wavefunction", *args, check=False)
+    assert_one_line_error(out, ("psi", "float64"))
+
+
+# the eigenvector probes of the benchmark's oracle-large workload, as
+# (N, beta, gamma, D, state) with k=0
+EIGENVECTOR_PROBES = [
+    (200, "1", "1", "3", 100), (200, "1", "1", "10", 100),
+] + [(200, "1", "1", d, s) for d in ("100", "1000") for s in (0, 100, 199)] + [
+    (120, "1/4", "1/4", "100", s) for s in (30, 60, 90)] + [
+    (120, "6", "1/4", "100", s) for s in (30, 60)]
+
+
+@pytest.mark.parametrize("n,beta,gamma,dim,state", EIGENVECTOR_PROBES)
+def test_wavefunction_at_large_n(n, beta, gamma, dim, state):
+    out = run_cli("wavefunction", "-N", str(n), "--beta", beta, "--gamma", gamma,
+                  "-D", dim, "--state", str(state))
+    rows = out.stdout.splitlines()[1:]
+    assert len(rows) == 64
+    psi = [float(row.split(",")[1]) for row in rows]
+    assert all(math.isfinite(v) for v in psi)
+    assert any(v != 0.0 for v in psi)
+
+
 @pytest.mark.parametrize(
     "name,args",
     [
