@@ -8,12 +8,22 @@ diagonal similarity maps them to symmetric form with the same spectrum,
 which is where the reality of the spectrum comes from.  Eigenvalues come
 from one Sturm bisection of that symmetric form shared by all of them (as
 LAPACK ``dstebz``), eigenvectors from one twisted factorization each.
+
+Most of the bisection's Sturm counts are predicted rather than computed:
+a root-free QL iteration (EISPACK ``tqlrat``) first estimates every
+eigenvalue, and a midpoint far from every estimate takes the number of
+estimates below it as its count.  Real counts are taken near estimates
+and at the ends of the final brackets; if any of them contradicts the
+estimates, the plain descent runs instead.  Either way the eigenvalues
+are bit for bit those of the plain descent (see
+:func:`bisection_eigenvalues`).
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .model import (
@@ -129,9 +139,28 @@ def bisection_eigenvalues(
 
     Sturm counts make every bracket certified: the returned k-th value is
     within the final bracket containing exactly the k-th eigenvalue.
+
+    The descent is shared by all eigenvalues, and most of its counts are
+    predicted from QL estimates of the eigenvalues (:func:`_ql_eigenvalues`):
+    a midpoint x farther than delta = 64 eps max(|glo|, |ghi|) from every
+    estimate takes the number of estimates below it.  Real counts are
+    taken at every other midpoint, and at every end of a final bracket
+    whose count was predicted.  Certification: the count c(x) is monotone
+    in x in IEEE arithmetic (Kahan 1966; Demmel, Dhillon & Ren 1995).  A
+    midpoint x given count c has final-bracket ends at or below x with
+    count c, unless c is the count of its bracket's lower end, and at or
+    above x with count c, unless c is the count of the upper end.  So if
+    every final-bracket end is right, monotonicity makes every count right,
+    working down from the root bracket with its counts 0 and n, and the
+    descent takes exactly the steps of the plain one.  When a final
+    bracket end's real count differs from its prediction, a real count
+    lies outside [#estimates < x - delta, #estimates <= x + delta], QL
+    does not converge, or an estimate is not finite, the plain descent,
+    which computes every count, runs instead.  So the values are bit for
+    bit those of the plain descent.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be finite and positive")
     diag = tuple(float(d) for d in diag)
     offdiag = tuple(float(e) for e in offdiag)
     n = len(diag)
@@ -155,6 +184,24 @@ def bisection_eigenvalues(
     if _sturm_count(diag, off_sq, ghi, pivmin) != n:
         raise RuntimeError("eigenvalue count failed at the upper bound")
 
+    estimates = _ql_eigenvalues(diag, off_sq)
+    if estimates is not None and all(map(math.isfinite, estimates)):
+        values = _descent(diag, off_sq, pivmin, glo, ghi, tol, estimates)
+        if values is not None:
+            return values
+    return _descent(diag, off_sq, pivmin, glo, ghi, tol)
+
+
+def _descent(diag, off_sq, pivmin, glo, ghi, tol, estimates=None):
+    """The bisection shared by all eigenvalues, from the bracket (glo, ghi].
+
+    Without estimates every count is computed.  With sorted estimates,
+    counts far from them are predicted, and None is returned when a real
+    count contradicts the estimates (see :func:`bisection_eigenvalues`).
+    """
+    n = len(diag)
+    delta = 64.0 * _EPS * max(abs(glo), abs(ghi))
+    predicted: dict[float, int] = {}
     # one descent shared by all eigenvalues: bracket (lo, hi] holds indices
     # count(lo) .. count(hi)-1; clamping a count into that range splits them
     # as one bisection per index would, so the values are the same
@@ -163,16 +210,90 @@ def bisection_eigenvalues(
     while stack:
         lo, count_lo, hi, count_hi, depth = stack.pop()
         if depth == 300 or hi - lo <= tol + 2.0 * _EPS * max(abs(lo), abs(hi)):
+            for end in (lo, hi):
+                if end in predicted and (
+                        _sturm_count(diag, off_sq, end, pivmin) != predicted.pop(end)):
+                    return None
             values.extend([0.5 * lo + 0.5 * hi] * (count_hi - count_lo))
             continue
         mid = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
-        count = _sturm_count(diag, off_sq, mid, pivmin)
+        if estimates is None:
+            count = _sturm_count(diag, off_sq, mid, pivmin)
+        else:
+            below = bisect_left(estimates, mid - delta)
+            within = bisect_right(estimates, mid + delta)
+            if below == within:
+                count = predicted[mid] = min(max(below, count_lo), count_hi)
+            else:
+                count = _sturm_count(diag, off_sq, mid, pivmin)
+                if not below <= count <= within:
+                    return None
         count = min(max(count, count_lo), count_hi)
         if count < count_hi:
             stack.append((mid, count, hi, count_hi, depth + 1))
         if count > count_lo:
             stack.append((lo, count_lo, mid, count, depth + 1))
     return values
+
+
+def _ql_eigenvalues(diag, off_sq) -> list[float] | None:
+    """Estimates of all eigenvalues, ascending, by the root-free QL
+    iteration of Pal, Walker and Kahan (EISPACK ``tqlrat``; Parlett, *The
+    Symmetric Eigenvalue Problem*, §8.15): implicit shifts, and sweeps
+    that use only the squared off-diagonal.  None when an eigenvalue takes
+    more than 30 sweeps.
+    """
+    n = len(diag)
+    d = list(diag)
+    e2 = list(off_sq) + [0.0]
+    found = []
+    shift = t = b = c = 0.0
+    for j in range(n):
+        h = abs(d[j]) + math.sqrt(e2[j])
+        if t <= h:
+            t = h
+            b = _EPS * t
+            c = b * b  # e2 below c is negligible
+        m = j
+        while e2[m] > c:
+            m += 1
+        sweeps = 0
+        while m > j:
+            if sweeps == 30:
+                return None
+            sweeps += 1
+            # shift: the eigenvalue of the leading 2x2 block nearer d[j]
+            s = math.sqrt(e2[j])
+            g = d[j]
+            p = (d[j + 1] - g) / (2.0 * s)
+            d[j] = s / (p + math.copysign(math.hypot(p, 1.0), p))
+            h = g - d[j]
+            for i in range(j + 1, n):
+                d[i] -= h
+            shift += h
+            # rational QL sweep from row m up to row j
+            g = d[m] or b
+            h = g
+            s = 0.0
+            for i in range(m - 1, j - 1, -1):
+                p = g * h
+                r = p + e2[i]
+                e2[i + 1] = s * r
+                s = e2[i] / r
+                d[i + 1] = h + s * (h + d[i])
+                g = (d[i] - e2[i] / g) or b
+                h = g * p / r
+            e2[j] = s * g
+            d[j] = h
+            # guard against underflow in the convergence test
+            if h == 0.0 or abs(e2[j]) <= abs(c / h):
+                break
+            e2[j] *= h
+            if e2[j] == 0.0:
+                break
+        found.append(d[j] + shift)
+    found.sort()
+    return found
 
 
 def tridiagonal_spectrum(m: TridiagonalReal, tol: float = 1e-12) -> list[float]:

@@ -9,7 +9,7 @@ import pytest
 
 from qes_sextic import oracle
 from qes_sextic.kac import kac_involution
-from qes_sextic.model import ModelParams, qes_coupling, qes_matrix
+from qes_sextic.model import ModelParams, general_matrix, qes_coupling, qes_matrix
 from qes_sextic.oracle import (
     TridiagonalReal,
     bisection_eigenvalues,
@@ -145,6 +145,154 @@ def test_shared_bisection_equals_bisection_per_eigenvalue(n, dim, tol, noisy,
     got = bisection_eigenvalues(diag, off, tol)
     assert [v.hex() for v in got] == [
         v.hex() for v in _bisection_per_eigenvalue(diag, off, tol)]
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+def _plain_descent(diag, off, tol, monkeypatch):
+    # reference: the descent that computes every count, reached as the
+    # fallback when QL gives no estimates
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_ql_eigenvalues", lambda diag, off_sq: None)
+        return bisection_eigenvalues(diag, off, tol)
+
+
+def _spy_descents(monkeypatch):
+    # records (given estimates, returned None) for every descent run
+    runs = []
+    descent = oracle._descent
+
+    def spy(*args):
+        values = descent(*args)
+        runs.append((len(args) == 7, values is None))
+        return values
+
+    monkeypatch.setattr(oracle, "_descent", spy)
+    return runs
+
+
+def _model(n, k, beta, gamma, dim):
+    params = ModelParams(n, k, Fraction(beta), Fraction(gamma))
+    return symmetrize(TridiagonalReal.from_exact(qes_matrix(params, dim)))
+
+
+@pytest.mark.parametrize("n,k,beta,gamma,dim,tol", [
+    (800, 1, 2, 1, 100, 1e-12),
+    (400, 3, 1, 1, 1000, 1e-12),
+    (300, 0, Fraction(3, 4), Fraction(1, 2), 3, 1e-12),
+    (200, 0, 1, 1, 3, 1e-12),
+    (120, 0, Fraction(1, 4), Fraction(1, 4), 100, 1e-12),
+    (400, 0, 1, 1, 30, 1e-12),
+    (250, 2, 5, Fraction(1, 4), 10000, 1e-12),
+    (200, 1, Fraction(1, 4), 6, Fraction(7, 2), 1e-12),
+    (400, 0, 1, 1, 30, 1e-3),
+])
+def test_predicted_counts_give_the_plain_descent_bit_for_bit(
+        n, k, beta, gamma, dim, tol, monkeypatch):
+    diag, off = _model(n, k, beta, gamma, dim)
+    want = _hex(_plain_descent(diag, off, tol, monkeypatch))
+    runs = _spy_descents(monkeypatch)
+    assert _hex(bisection_eigenvalues(diag, off, tol)) == want
+    assert runs == [(True, False)]  # no fallback
+
+
+def test_predicted_counts_bit_for_bit_on_general_blocks(monkeypatch):
+    p = ModelParams(200, 1, Fraction(3, 2), Fraction(1, 2))
+    m = TridiagonalReal.from_exact(general_matrix(260, qes_coupling(p, 3), p, 3))
+    blocks = [b for b in oracle._irreducible_blocks(m)
+              if all(lo * up > 0.0 for lo, up in zip(b.lower, b.upper))]
+    assert blocks
+    for block in blocks:
+        diag, off = symmetrize(block)
+        want = _hex(_plain_descent(diag, off, 1e-12, monkeypatch))
+        assert _hex(bisection_eigenvalues(diag, off, 1e-12)) == want
+
+
+def _moved(estimates):
+    scale = max(abs(e) for e in estimates)
+    j = len(estimates) // 2
+    return estimates[:j] + [estimates[j] + 1e-6 * scale] + estimates[j + 1:]
+
+
+def _dropped(estimates):
+    return estimates[:len(estimates) // 2] + estimates[len(estimates) // 2 + 1:]
+
+
+@pytest.mark.parametrize("wrong,predicted", [
+    (_moved, True),
+    (_dropped, True),
+    (lambda estimates: [math.nan] * len(estimates), False),
+    (lambda estimates: None, False),  # QL did not converge
+])
+def test_wrong_estimates_fall_back_to_the_plain_descent(wrong, predicted,
+                                                        monkeypatch):
+    diag, off = _model(200, 1, Fraction(3, 2), Fraction(1, 2), 100)
+    want = _hex(_plain_descent(diag, off, 1e-12, monkeypatch))
+    ql = oracle._ql_eigenvalues
+    monkeypatch.setattr(oracle, "_ql_eigenvalues",
+                        lambda diag, off_sq: wrong(ql(diag, off_sq)))
+    runs = _spy_descents(monkeypatch)
+    assert _hex(bisection_eigenvalues(diag, off, 1e-12)) == want
+    # a predicted descent that gave up, then the plain one
+    fallback = [(True, True)] if predicted else []
+    assert runs == fallback + [(False, False)]
+
+
+def test_predicted_counts_stay_within_budget(monkeypatch):
+    # the plain descent takes 36210 counts here, the predicted one 7246
+    diag, off = _model(800, 1, 2, 1, 100)
+    calls = 0
+    count = oracle._sturm_count
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return count(*args)
+
+    monkeypatch.setattr(oracle, "_sturm_count", counting)
+    bisection_eigenvalues(diag, off, 1e-12)
+    assert calls <= 9000
+
+
+@pytest.mark.parametrize("diag,off", [
+    ((3.5,), ()),
+    ((0.0, 0.0), (1.0,)),
+    ((1.0, 2.0), (0.5,)),
+    ((1e308, 1e308), (1e100,)),
+    ((1.0, 2.0, 3.0), (1e-170, 1e-200)),  # squares underflow to zero
+    ((0.0, 0.0, 1e-300), (1e-160, 1e-161)),  # subnormal squares
+    ((1.0, -1.0, 1.0, -1.0), (1e-200, 1.0, 1e-200)),
+])
+def test_ql_estimates_at_the_edges(diag, off, monkeypatch):
+    estimates = oracle._ql_eigenvalues(diag, tuple(e * e for e in off))
+    assert estimates is not None and len(estimates) == len(diag)
+    assert all(math.isfinite(e) for e in estimates)
+    assert _hex(bisection_eigenvalues(diag, off, 1e-12)) == _hex(
+        _plain_descent(diag, off, 1e-12, monkeypatch))
+
+
+def test_predicted_counts_bit_for_bit_on_random_matrices(monkeypatch):
+    # graded and clustered spectra, entries over many decades
+    rng = random.Random(2024)
+    for _ in range(60):
+        n = rng.randint(1, 30)
+        diag = tuple(rng.choice((0.0, 1.0, -1.0)) * 10.0 ** rng.uniform(-8, 8)
+                     for _ in range(n))
+        off = tuple(10.0 ** rng.uniform(-12, 6) for _ in range(n - 1))
+        for tol in (1e-12, 1e-4):
+            estimates = oracle._ql_eigenvalues(diag, tuple(e * e for e in off))
+            assert estimates is not None
+            assert all(math.isfinite(e) for e in estimates)
+            assert _hex(bisection_eigenvalues(diag, off, tol)) == _hex(
+                _plain_descent(diag, off, tol, monkeypatch))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+def test_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError):
+        bisection_eigenvalues((0.0, 0.0), (1.0,), tol)
 
 
 def test_spectrum_is_simple_for_model_matrices():
