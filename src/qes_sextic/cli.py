@@ -248,28 +248,24 @@ def cmd_series(args) -> int:
         raise ValueError("order K must be non-negative")
     result = perturbation_series(perturbation_split(params), args.order)
 
-    states = []
+    t_sub = args.t_value if args.t_value is not None else params.exact_t()
+    states, substituted = [], []
     for j in range(params.n):
         coeffs = energy_coefficients(result, j)
+        eps = [result.eps[order][j] for order in range(args.order + 1)]
         states.append({
             "state": j,
             "energy_coefficients": [c.to_strings() for c in coeffs],
-            "eps": [result.eps[order][j].to_strings()
-                    for order in range(args.order + 1)],
+            "eps": [e.to_strings() for e in eps],
         })
-    exact = {"t_symbolic": "beta/sqrt(2*gamma)", "states": states}
-
-    t_sub = args.t_value if args.t_value is not None else params.exact_t()
-    if t_sub is not None:
-        substituted = []
-        for j in range(params.n):
-            coeffs = energy_coefficients(result, j)
+        if t_sub is not None:
             substituted.append({
                 "state": j,
                 "energy_coefficients": [str(c.evaluate(t_sub)) for c in coeffs],
-                "eps": [str(result.eps[order][j].evaluate(t_sub))
-                        for order in range(args.order + 1)],
+                "eps": [str(e.evaluate(t_sub)) for e in eps],
             })
+    exact = {"t_symbolic": "beta/sqrt(2*gamma)", "states": states}
+    if t_sub is not None:
         exact["at_t"] = {"t": str(t_sub), "states": substituted}
 
     doc = {
@@ -312,6 +308,9 @@ def cmd_validate(args) -> int:
     dims = sorted(args.dims)
     if not dims:
         raise ValueError("at least one dimension is required")
+    for lower, upper in zip(dims, dims[1:]):
+        if lower == upper:
+            raise ValueError(f"dimension D={lower} is given more than once")
     # one extra correction order so the partial sum is complete through
     # lambda^K and the first omitted term is O(lambda^(K+1))
     result = perturbation_series(perturbation_split(params), args.order + 1)

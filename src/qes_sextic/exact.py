@@ -241,15 +241,6 @@ class ExactMatrix:
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls.diagonal([1] * n)
-
-    @classmethod
-    def zeros(cls, n: int) -> "ExactMatrix":
-        z = TPoly.zero()
-        return cls([[z] * n for _ in range(n)])
-
-    @classmethod
     def diagonal(cls, values: Sequence) -> "ExactMatrix":
         return cls.tridiagonal((), values, ())
 
@@ -327,9 +318,6 @@ class ExactMatrix:
         return ExactMatrix([[e * factor for e in row] for row in self.rows])
 
     __rmul__ = __mul__
-
-    def diagonal_entries(self) -> tuple[TPoly, ...]:
-        return tuple(self.rows[i][i] for i in range(self.n))
 
     @property
     def is_zero(self) -> bool:

@@ -28,7 +28,8 @@ lambda^3 term.  Energies map back through
 
 :func:`qes_matrix` and :func:`general_matrix` return a matrix as its
 three diagonals ``(lower, diag, upper)``, tuples of ``Fraction`` of
-lengths n-1, n and n-1, so no n x n structure is ever built for them.
+lengths n-1, n and n-1, and :func:`perturbation_split` returns h0, h1 and
+h2 as such diagonals of :class:`TPoly`, so no n x n structure is built.
 All construction here is exact; floating point appears only in the final
 energy map and in wavefunction evaluation.
 """
@@ -43,6 +44,7 @@ from .exact import ExactMatrix, Scalar, TPoly, as_rational
 
 # a tridiagonal matrix as its (sub, main, super) diagonals
 Diagonals = tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]
+PolyDiagonals = tuple[tuple[TPoly, ...], tuple[TPoly, ...], tuple[TPoly, ...]]
 
 
 @dataclass(frozen=True)
@@ -95,11 +97,12 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class PerturbationSplit:
-    """The exact two-term split H(lambda) = h0 + lambda*h1 + lambda^2*h2."""
+    """H(lambda) = h0 + lambda*h1 + lambda^2*h2, each term as its three
+    diagonals; ``ExactMatrix.tridiagonal(*split.h0)`` gives the dense h0."""
 
-    h0: ExactMatrix
-    h1: ExactMatrix
-    h2: ExactMatrix
+    h0: PolyDiagonals
+    h1: PolyDiagonals
+    h2: PolyDiagonals
     n: int
     k: int
 
@@ -145,20 +148,14 @@ def perturbation_split(params: ModelParams) -> PerturbationSplit:
     """Exact dimensionless split of the rescaled matrix in powers of
     lambda = 1/sqrt(D); terminates at lambda^2."""
     n, k = params.n, params.k
-    zero = TPoly.zero()
-
-    h0 = [[zero] * n for _ in range(n)]
-    h1 = [[zero] * n for _ in range(n)]
-    h2 = [[zero] * n for _ in range(n)]
-    for m in range(n):
-        h1[m][m] = TPoly((0, 2 * m + k))
-        if m >= 1:
-            h0[m][m - 1] = TPoly.constant(m - n)
-        if m + 1 < n:
-            h0[m][m + 1] = TPoly.constant(-(m + 1))
-            h2[m][m + 1] = TPoly.constant(-(m + 1) * (2 * m + 2 * k))
+    zero_off, zero_diag = (TPoly.zero(),) * (n - 1), (TPoly.zero(),) * n
+    h0_lower = tuple(TPoly.constant(m + 1 - n) for m in range(n - 1))
+    h0_upper = tuple(TPoly.constant(-(m + 1)) for m in range(n - 1))
+    h1_diag = tuple(TPoly((0, 2 * m + k)) for m in range(n))
+    h2_upper = tuple(TPoly.constant(-(m + 1) * (2 * m + 2 * k)) for m in range(n - 1))
     return PerturbationSplit(
-        h0=ExactMatrix(h0), h1=ExactMatrix(h1), h2=ExactMatrix(h2), n=n, k=k
+        (h0_lower, zero_diag, h0_upper), (zero_off, h1_diag, zero_off),
+        (zero_off, zero_diag, h2_upper), n, k,
     )
 
 
@@ -196,10 +193,11 @@ def split_reassembly_residual(params: ModelParams, rho: int) -> ExactMatrix:
     split = perturbation_split(params)
     lam_t = beta / (2 * gamma * rho)  # lambda * t, rational here
     lam_sq = Fraction(1) / d
-    h1_num = ExactMatrix(
-        [[e.evaluate(lam_t) for e in row] for row in split.h1.rows]
-    )
-    assembled = split.h0 + h1_num + split.h2 * lam_sq
+    # h0 + lambda*h1 + lambda^2*h2, one diagonal at a time
+    assembled = ExactMatrix.tridiagonal(*(
+        [e0 + e1.evaluate(lam_t) + e2 * lam_sq for e0, e1, e2 in zip(*diagonals)]
+        for diagonals in zip(split.h0, split.h1, split.h2)
+    ))
     scale = 2 * (2 * gamma * rho)  # 2*sqrt(2*gamma*D)
     expected = ExactMatrix.diagonal([beta * d] * params.n) + assembled * scale
     return rescaled - expected

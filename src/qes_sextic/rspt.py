@@ -1,33 +1,34 @@
-"""Matrix Rayleigh-Schrodinger recursion in exact arithmetic.
+"""Rayleigh-Schrodinger recursion in exact arithmetic, one state at a time.
 
-Work in the eigenbasis of the limiting problem: P = M / 2^((n-1)/2) is the
-involutive eigenvector matrix (P^2 = I), the zeroth-order eigenvalues are
-eps0_j = 2j - (n-1), ascending in the column index j, and the perturbation
-images G1 = P h1 P and G2 = P h2 P are rational because they are evaluated
-as M h M / 2^(n-1).
+With T = L + U the Kac matrix (subdiagonal n-1-i, superdiagonal i+1 at row
+i) and N = diag(0..n-1), the split is h0 = -T, h1 = t*(2N + k) and
+h2 = -2*(N + k)*U.  The involution P of :mod:`kac` turns h0 into the
+ascending ladder eps0_j = 2j - (n-1), P N P = ((n-1)I - T)/2 and
+P U P = ((n-1)/2)I - N + (L - U)/2, so G = P h P are integer band matrices:
 
-Writing the k-th order eigenvector-correction matrix as Psi^(k) = P W^(k),
-collecting powers of lambda in the eigenvalue equation and multiplying by
-P from the left gives, with W^(0) = I and W^(-1) = 0,
+    G1 = t*((n-1+k)I - T),  G2 = -1/2*((n-1+2k)I - T)*((n-1)I - 2N + L - U)
+
+With Psi^(k) = P W^(k) the k-th order eigenvector corrections, W^(0) = I
+and W^(-1) = 0, the order-lambda^k equation is
 
     eps^(k) + W^(k) eps0 - eps0 W^(k) = R^(k)
     R^(k) = G1 W^(k-1) + G2 W^(k-2) - sum_{m=1}^{k-1} W^(k-m) eps^(m)
 
-The diagonal of R^(k) is the k-th energy correction.  Off the diagonal,
-W^(k)_ij = R^(k)_ij / (eps0_j - eps0_i); the divisors are nonzero even
-integers because the unperturbed spectrum is equidistant, so every output
-stays exact.  The free diagonal of W^(k) is set to zero at each order
-(intermediate normalization), which leaves all energy corrections
-unchanged.
-
-Every entry of eps^(k) and W^(k) is a polynomial in t of degree <= k with
-the parity of k (h1 carries t*lambda, h2 carries lambda^2).
+The sum only scales column j by eps^(m)_j, so the recursion is n
+independent vector recursions: column j of R^(k) needs column j of the
+lower orders alone, and lives on rows j-k..j+k.  R^(k)_jj = eps^(k)_j;
+off it W^(k)_ij = R^(k)_ij / (eps0_j - eps0_i), where the equidistant
+spectrum makes the divisor 2(j - i), a nonzero even integer, so every
+output stays exact.  W^(k)_jj = 0 (intermediate normalization) leaves
+every energy unchanged.  Entries of eps^(k) and W^(k) are polynomials in
+t of degree <= k with the parity of k.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .exact import ExactMatrix, Scalar, TPoly
 from .kac import kac_involution
@@ -56,45 +57,64 @@ def unperturbed_levels(n: int) -> tuple[int, ...]:
     return tuple(2 * j - (n - 1) for j in range(n))
 
 
+# a band matrix: offset d -> entry (i, i+d) as a function of the row i
+Bands = dict[int, Callable[[int], int]]
+
+
+def perturbation_bands(n: int, k: int) -> tuple[Bands, Bands]:
+    """G1/t and G2 as integer bands, from the closed forms above."""
+    g1 = {-1: lambda i: i - n, 0: lambda i: n - 1 + k, 1: lambda i: -(i + 1)}
+    g2 = {
+        -2: lambda i: (n - i) * (n - i + 1) // 2,
+        -1: lambda i: (i - n) * (i - 1 + k),
+        0: lambda i: (n - 2 + 2 * k) * (2 * i + 1 - n) // 2,
+        1: lambda i: (i + 1) * (n - 2 - i + k),
+        2: lambda i: -(i + 1) * (i + 2) // 2,
+    }
+    return g1, g2
+
+
+def _band_product(bands: Bands, x: list, i: int, j: int) -> TPoly:
+    """Entry (i, j) of the band matrix times the n x n array x."""
+    return sum(
+        (x[i + d][j] * entry(i) for d, entry in bands.items()
+         if 0 <= i + d < len(x) and not x[i + d][j].is_zero),
+        TPoly.zero(),
+    )
+
+
 def perturbation_series(split: PerturbationSplit, max_order: int) -> SeriesResult:
     """Run the recursion through the given order.  Purely rational."""
     if not isinstance(max_order, int) or max_order < 0:
         raise ValueError("max_order must be a non-negative integer")
     n = split.n
-    dec = kac_involution(n)
-    g1 = dec.conjugate(split.h1)
-    g2 = dec.conjugate(split.h2)
-    eps0 = unperturbed_levels(n)
-
-    eps_rows: list[tuple[TPoly, ...]] = [
-        tuple(TPoly.constant(e) for e in eps0)
-    ]
-    ws: list[ExactMatrix] = [ExactMatrix.identity(n)]  # ws[k] = W^(k)
-
-    for order in range(1, max_order + 1):
-        r = g1 @ ws[order - 1]
-        if order >= 2:
-            r = r + g2 @ ws[order - 2]
-        for m in range(1, order):
-            r = r - ws[order - m] @ ExactMatrix.diagonal(eps_rows[m])
-        eps_rows.append(r.diagonal_entries())
-        w_rows = [
-            [
-                TPoly.zero()
-                if i == j
-                else r[i, j] / (eps0[j] - eps0[i])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        ws.append(ExactMatrix(w_rows))
+    g1, g2 = perturbation_bands(n, split.k)
+    zero, t = TPoly.zero(), TPoly.t()
+    # eps[k][j] = eps^(k)_j and w[k][i][j] = W^(k)_ij
+    eps = [[TPoly.constant(e) for e in unperturbed_levels(n)]]
+    eps += [[zero] * n for _ in range(max_order)]
+    w = [[[zero] * n for _ in range(n)] for _ in range(max_order + 1)]
+    for j in range(n):
+        w[0][j][j] = TPoly.one()
+        for order in range(1, max_order + 1):
+            for i in range(max(0, j - order), min(n, j + order + 1)):
+                r = t * _band_product(g1, w[order - 1], i, j)
+                if order >= 2:
+                    r = r + _band_product(g2, w[order - 2], i, j)
+                for m in range(1, order):
+                    if not w[order - m][i][j].is_zero:
+                        r = r - eps[m][j] * w[order - m][i][j]
+                if i == j:
+                    eps[order][j] = r
+                else:
+                    w[order][i][j] = r / (2 * (j - i))
 
     return SeriesResult(
         n=n,
         k=split.k,
         max_order=max_order,
-        eps=tuple(eps_rows),
-        w=tuple(ws[1:]),
+        eps=tuple(map(tuple, eps)),
+        w=tuple(ExactMatrix(rows) for rows in w[1:]),
     )
 
 
@@ -112,21 +132,13 @@ def order_residual(
     """
     if not 1 <= order <= result.max_order:
         raise IndexError(f"series holds orders 1..{result.max_order}")
-    n = result.n
-    m_mat = kac_involution(n).m
-
-    def psi(k: int) -> ExactMatrix:
-        if k < 0:
-            return ExactMatrix.zeros(n)
-        if k == 0:
-            return m_mat
-        return m_mat @ result.w_order(k)
-
-    residual = split.h0 @ psi(order)
-    residual = residual + split.h1 @ psi(order - 1)
-    residual = residual + split.h2 @ psi(order - 2)
+    m_mat = kac_involution(result.n).m
+    psi = [m_mat] + [m_mat @ w for w in result.w[:order]]  # psi[k] = Psi^(k)
+    residual = ExactMatrix.tridiagonal(*split.h0) @ psi[order]
+    for power, h in enumerate((split.h1, split.h2)[:order], start=1):
+        residual = residual + ExactMatrix.tridiagonal(*h) @ psi[order - power]
     for m in range(order + 1):
-        residual = residual - psi(order - m) @ ExactMatrix.diagonal(result.eps[m])
+        residual = residual - psi[order - m] @ ExactMatrix.diagonal(result.eps[m])
     return residual
 
 

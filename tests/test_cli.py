@@ -267,6 +267,12 @@ def test_model_beyond_float64_is_one_line_error(args, words):
     assert_one_line_error(run_cli(*args, check=False), words)
 
 
+@pytest.mark.parametrize("dims", ["100,100", "100,1e2", "100,200/2,1000"])
+def test_validate_repeated_dimension_is_one_line_error(dims):
+    out = run_cli("validate", "-N", "2", "-D", dims, check=False)
+    assert_one_line_error(out, ("D=100",))
+
+
 @pytest.mark.parametrize("args", [
     ("-N", "20", "-D", "1000000", "--state", "19"),
     ("-N", "50", "-D", "100000", "--state", "0"),

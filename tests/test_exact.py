@@ -160,7 +160,7 @@ def test_identity_is_neutral():
     a = ExactMatrix(
         [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
     )
-    eye = ExactMatrix.identity(4)
+    eye = ExactMatrix.diagonal([1] * 4)
     assert eye @ a == a
     assert a @ eye == a
 
@@ -198,8 +198,8 @@ def test_matmul_matches_naive_reference():
 
 
 def test_dimension_mismatch():
-    a = ExactMatrix.identity(2)
-    b = ExactMatrix.identity(3)
+    a = ExactMatrix.diagonal([1] * 2)
+    b = ExactMatrix.diagonal([1] * 3)
     with pytest.raises(ValueError):
         a @ b
     with pytest.raises(ValueError):

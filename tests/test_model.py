@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qes_sextic.exact import ExactMatrix, TPoly
+from qes_sextic.exact import TPoly
 from qes_sextic.model import (
     ModelParams,
     RadialWavefunction,
@@ -122,32 +122,34 @@ def test_embedding_at_several_truncation_margins(margin):
 
 
 def test_split_small_cases():
+    c, zero = TPoly.constant, TPoly.zero()
     s = perturbation_split(params(2, 0))
-    assert s.h0 == ExactMatrix([[0, -1], [-1, 0]])
-    assert s.h1 == ExactMatrix.diagonal([TPoly.zero(), TPoly((0, 2))])
-    assert s.h2.is_zero  # superdiagonal entry -(1)*(0) = 0
+    assert s.h0 == ((c(-1),), (zero, zero), (c(-1),))
+    assert s.h1 == ((zero,), (zero, TPoly((0, 2))), (zero,))
+    assert s.h2 == ((zero,), (zero, zero), (zero,))  # superdiagonal -(1)*(0)
 
     s = perturbation_split(params(3, 1))
     t = TPoly.t()
-    assert s.h1 == ExactMatrix.diagonal([t, 3 * t, 5 * t])
-    assert s.h2[0, 1] == TPoly.constant(-2)
-    assert s.h2[1, 2] == TPoly.constant(-8)
-    assert s.h2[1, 0].is_zero and s.h2[2, 1].is_zero
+    assert s.h1[1] == (t, 3 * t, 5 * t)
+    assert s.h2 == ((zero, zero), (zero,) * 3, (c(-2), c(-8)))
 
 
 def test_split_band_structure():
     p = params(5, 2, beta=3, gamma=Fraction(1, 2))
     s = perturbation_split(p)
     n = p.n
+    for term in (s.h0, s.h1, s.h2):
+        assert tuple(map(len, term)) == (n - 1, n, n - 1)
     for i in range(n):
-        assert s.h0[i, i].is_zero
+        assert s.h0[1][i].is_zero
         if i >= 1:
-            assert s.h0[i, i - 1] == TPoly.constant(-(n - i))
+            assert s.h0[0][i - 1] == TPoly.constant(-(n - i))
         if i + 1 < n:
-            assert s.h0[i, i + 1] == TPoly.constant(-(i + 1))
-            assert s.h2[i, i + 1] == TPoly.constant(-(i + 1) * (2 * i + 2 * p.k))
-        assert s.h1[i, i] == TPoly((0, 2 * i + p.k))
-        assert s.h1[i, i].degree <= 1
+            assert s.h0[2][i] == TPoly.constant(-(i + 1))
+            assert s.h2[2][i] == TPoly.constant(-(i + 1) * (2 * i + 2 * p.k))
+        assert s.h1[1][i] == TPoly((0, 2 * i + p.k))
+        assert s.h1[1][i].degree <= 1
+    assert all(e.is_zero for e in s.h1[0] + s.h1[2] + s.h2[0] + s.h2[1])
 
 
 def test_split_reassembly_is_exactly_zero():
@@ -173,14 +175,12 @@ def test_reassembled_split_reproduces_numeric_spectrum():
     lam = 1.0 / math.sqrt(d)
     t0 = p.t_float()
     s = perturbation_split(p)
-    n = p.n
 
-    diag = [s.h1[i, i].evaluate_float(t0) * lam for i in range(n)]
-    lower = [s.h0[i + 1, i].evaluate_float(t0) for i in range(n - 1)]
+    diag = [e.evaluate_float(t0) * lam for e in s.h1[1]]
+    lower = [e.evaluate_float(t0) for e in s.h0[0]]
     upper = [
-        s.h0[i, i + 1].evaluate_float(t0)
-        + s.h2[i, i + 1].evaluate_float(t0) * lam * lam
-        for i in range(n - 1)
+        a.evaluate_float(t0) + b.evaluate_float(t0) * lam * lam
+        for a, b in zip(s.h0[2], s.h2[2])
     ]
     eps_values = tridiagonal_spectrum(
         TridiagonalReal(tuple(diag), tuple(lower), tuple(upper))

@@ -5,8 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qes_sextic import kac, rspt
 from qes_sextic.exact import ExactMatrix, TPoly
+from qes_sextic.kac import KacDecomposition, kac_involution
 from qes_sextic.model import ModelParams, perturbation_split
 from qes_sextic.oracle import qes_spectrum
 from qes_sextic.rspt import (
@@ -14,6 +17,7 @@ from qes_sextic.rspt import (
     energy_series,
     first_order_constraints,
     order_residual,
+    perturbation_bands,
     perturbation_series,
     unperturbed_levels,
 )
@@ -22,6 +26,80 @@ from qes_sextic.rspt import (
 def run(n, k, order, beta=1, gamma=1):
     p = ModelParams(n, k, Fraction(beta), Fraction(gamma))
     return p, perturbation_series(perturbation_split(p), order)
+
+
+def conjugated_g(split):
+    """G1 = P h1 P and G2 = P h2 P by the dense Kac conjugation."""
+    dec = kac_involution(split.n)
+    return tuple(
+        dec.conjugate(ExactMatrix.tridiagonal(*h)) for h in (split.h1, split.h2)
+    )
+
+
+def dense_series(split, max_order):
+    """Reference: the recursion on dense n x n matrices with G from the Kac
+    conjugation.  Returns (eps, w) laid out as in SeriesResult."""
+    n = split.n
+    g1, g2 = conjugated_g(split)
+    eps0 = unperturbed_levels(n)
+    eps_rows = [tuple(TPoly.constant(e) for e in eps0)]
+    ws = [ExactMatrix.diagonal([1] * n)]
+    for order in range(1, max_order + 1):
+        r = g1 @ ws[order - 1]
+        if order >= 2:
+            r = r + g2 @ ws[order - 2]
+        for m in range(1, order):
+            r = r - ws[order - m] @ ExactMatrix.diagonal(eps_rows[m])
+        eps_rows.append(tuple(r[i, i] for i in range(n)))
+        ws.append(ExactMatrix([
+            [
+                TPoly.zero() if i == j else r[i, j] / (eps0[j] - eps0[i])
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]))
+    return tuple(eps_rows), tuple(ws[1:])
+
+
+def band_matrix(bands, n):
+    return ExactMatrix([
+        [bands[j - i](i) if j - i in bands else 0 for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def test_closed_form_g_equals_kac_conjugation():
+    for n in range(1, 13):
+        for k in range(4):
+            split = perturbation_split(ModelParams(n, k, Fraction(1), Fraction(1)))
+            g1, g2 = conjugated_g(split)
+            b1, b2 = perturbation_bands(n, k)
+            assert g1 == band_matrix(b1, n) * TPoly.t()
+            assert g2 == band_matrix(b2, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), k=st.integers(0, 3), order=st.integers(0, 8))
+def test_series_equals_dense_reference(n, k, order):
+    p, res = run(n, k, order)
+    eps, w = dense_series(perturbation_split(p), order)
+    assert res.eps == eps
+    assert res.w == w
+
+
+def test_series_needs_no_kac_conjugation_or_dense_product(monkeypatch):
+    _, expected = run(6, 2, 8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the series path called the dense machinery")
+
+    monkeypatch.setattr(kac, "kac_involution", refuse)
+    monkeypatch.setattr(rspt, "kac_involution", refuse)
+    monkeypatch.setattr(KacDecomposition, "conjugate", refuse)
+    monkeypatch.setattr(ExactMatrix, "__matmul__", refuse)
+    _, res = run(6, 2, 8)
+    assert res.eps == expected.eps
+    assert res.w == expected.w
 
 
 def half_binomial(m: int) -> Fraction:
@@ -94,26 +172,22 @@ def test_correction_matrices_have_zero_diagonal():
 
 
 def test_order_identities_hold_in_original_basis():
-    p = ModelParams(5, 2, Fraction(1), Fraction(1))
-    split = perturbation_split(p)
-    res = perturbation_series(split, 6)
-    for order in range(1, 7):
-        assert order_residual(split, res, order).is_zero
+    for n, k, max_order in ((5, 2, 6), (1, 0, 4), (2, 0, 6), (4, 3, 6), (7, 1, 5)):
+        split = perturbation_split(ModelParams(n, k, Fraction(1), Fraction(1)))
+        res = perturbation_series(split, max_order)
+        for order in range(1, max_order + 1):
+            assert order_residual(split, res, order).is_zero
 
 
 def test_recursion_residual_definition():
     # eps^(k) + W^(k) eps0 - eps0 W^(k) must reproduce R^(k) rebuilt from
     # scratch out of G1, G2 and the lower orders
-    from qes_sextic.kac import kac_involution
-
     p = ModelParams(4, 1, Fraction(1), Fraction(1))
     split = perturbation_split(p)
     res = perturbation_series(split, 5)
-    dec = kac_involution(4)
-    g1 = dec.conjugate(split.h1)
-    g2 = dec.conjugate(split.h2)
+    g1, g2 = conjugated_g(split)
     eps0 = ExactMatrix.diagonal(list(unperturbed_levels(4)))
-    ws = [ExactMatrix.identity(4)] + list(res.w)
+    ws = [ExactMatrix.diagonal([1] * 4)] + list(res.w)
     for order in range(1, 6):
         r = g1 @ ws[order - 1]
         if order >= 2:
