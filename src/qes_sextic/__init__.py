@@ -10,13 +10,12 @@ result at finite dimension.  ``cli`` exposes both as the ``qes-sextic``
 command.
 """
 
-from .exact import ExactMatrix, Rational, TPoly, as_rational
+from .exact import ExactMatrix, TPoly, as_rational
 from .kac import KacDecomposition, kac_eigenvalues, kac_involution, kac_matrix
 from .model import (
     ModelParams,
     PerturbationSplit,
     RadialWavefunction,
-    energy_from_epsilon,
     general_matrix,
     perturbation_split,
     qes_coupling,
@@ -49,14 +48,12 @@ __all__ = [
     "ModelParams",
     "PerturbationSplit",
     "RadialWavefunction",
-    "Rational",
     "SeriesResult",
     "TPoly",
     "TridiagonalReal",
     "as_rational",
     "bisection_eigenvalues",
     "energy_coefficients",
-    "energy_from_epsilon",
     "energy_series",
     "first_order_constraints",
     "general_matrix",

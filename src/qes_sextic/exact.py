@@ -20,8 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 
@@ -34,14 +32,6 @@ def as_rational(value: Scalar) -> Fraction:
     raise TypeError(
         f"exact arithmetic needs int or Fraction, got {type(value).__name__}"
     )
-
-
-def rational_to_str(value: Scalar) -> str:
-    return str(as_rational(value))
-
-
-def rational_from_str(text: str) -> Fraction:
-    return Fraction(text.strip())
 
 
 class TPoly:
@@ -150,19 +140,6 @@ class TPoly:
             raise ZeroDivisionError("polynomial division by zero scalar")
         return self * Fraction(c.denominator, c.numerator)
 
-    def __pow__(self, exponent: int) -> "TPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = TPoly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def evaluate(self, point: Scalar) -> Fraction:
         """Exact value at a rational point (Horner)."""
         x = as_rational(point)
@@ -178,15 +155,8 @@ class TPoly:
             acc = acc * point + float(c)
         return acc
 
-    def derivative(self) -> "TPoly":
-        return TPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
     def to_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> "TPoly":
-        return cls(tuple(Fraction(s) for s in items))
 
     def __repr__(self) -> str:
         return f"TPoly({self.coeffs!r})"
@@ -323,12 +293,9 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return all(e.is_zero for row in self.rows for e in row)
 
-    def max_degree(self) -> int:
-        return max(e.degree for row in self.rows for e in row)
-
     def to_rational_strings(self) -> list[list[str]]:
         """Serialize a degree-0 matrix as "num/den" strings."""
-        if self.max_degree() > 0:
+        if any(e.degree > 0 for row in self.rows for e in row):
             raise ValueError("matrix entries depend on t; not a scalar matrix")
         return [[str(e.coefficient(0)) for e in row] for row in self.rows]
 

@@ -24,14 +24,16 @@ diagonal t*(2n+k) with t = beta/sqrt(2*gamma), and H2 has the single
 superdiagonal -(n+1)*(2n+2k).  The expansion terminates: there is no
 lambda^3 term.  Energies map back through
 
-    E = beta*D + 2*sqrt(2*gamma*D) * eps = sqrt(2*gamma) * (t*D + 2*sqrt(D)*eps).
+    E = beta*D + 2*sqrt(2*gamma*D) * eps = sqrt(2*gamma) * (t*D + 2*sqrt(D)*eps),
+
+which :func:`qes_sextic.rspt.energy_series` evaluates for the series.
 
 :func:`qes_matrix` and :func:`general_matrix` return a matrix as its
 three diagonals ``(lower, diag, upper)``, tuples of ``Fraction`` of
 lengths n-1, n and n-1, and :func:`perturbation_split` returns h0, h1 and
 h2 as such diagonals of :class:`TPoly`, so no n x n structure is built.
-All construction here is exact; floating point appears only in the final
-energy map and in wavefunction evaluation.
+All construction here is exact; floating point appears only in
+wavefunction evaluation.
 """
 
 from __future__ import annotations
@@ -78,13 +80,9 @@ class ModelParams:
         """Angular factor l = k + (D-3)/2 (a half-integer for even D)."""
         return self.k + Fraction(as_rational(dim) - 3, 2)
 
-    @property
-    def t_squared(self) -> Fraction:
-        return self.beta**2 / (2 * self.gamma)
-
     def exact_t(self) -> Fraction | None:
         """Rational t if beta^2/(2*gamma) is a perfect rational square."""
-        sq = self.t_squared
+        sq = self.beta**2 / (2 * self.gamma)
         num, den = sq.numerator, sq.denominator
         rn, rd = math.isqrt(num), math.isqrt(den)
         if rn * rn == num and rd * rd == den:
@@ -117,28 +115,24 @@ def qes_coupling(params: ModelParams, dim: Scalar) -> Fraction:
 def qes_matrix(params: ModelParams, dim: Scalar) -> Diagonals:
     """The n x n tridiagonal matrix whose eigenvalues are the n exactly
     terminating bound-state energies, as its diagonals."""
-    return general_matrix(params.n, qes_coupling(params, dim), params, dim)
+    return general_matrix(params.n, params, dim)
 
 
-def general_matrix(
-    n_trunc: int, coupling_a: Scalar, params: ModelParams, dim: Scalar
-) -> Diagonals:
-    """Truncation of the un-terminated infinite matrix with a free
-    quadratic coupling: subdiagonal gamma*(4m + 2l + 1) + a - beta^2.
+def general_matrix(n_trunc: int, params: ModelParams, dim: Scalar) -> Diagonals:
+    """Truncation to n_trunc rows of the infinite matrix of the radial
+    problem at the QES coupling a = :func:`qes_coupling`.
 
-    With ``coupling_a = qes_coupling(params, dim)`` the subdiagonal entry
-    at row ``params.n`` vanishes exactly, so the matrix is block
-    lower-triangular and its spectrum contains that of
-    :func:`qes_matrix` for any truncation size >= params.n.
+    Its subdiagonal gamma*(4m + 2l + 1) + a - beta^2 is 4*gamma*(m - n),
+    which vanishes exactly at row ``params.n``: the matrix is block
+    lower-triangular and its leading n x n block is :func:`qes_matrix`,
+    so its spectrum contains that of :func:`qes_matrix` by construction
+    for any truncation size >= params.n.
     """
     if not isinstance(n_trunc, int) or n_trunc < 1:
         raise ValueError("truncation size must be a positive integer")
     d = _check_dim(dim)
-    a = as_rational(coupling_a)
-    k, beta, gamma = params.k, params.beta, params.gamma
-    lower = tuple(
-        gamma * (4 * m + 2 * k + d - 2) + a - beta**2 for m in range(1, n_trunc)
-    )
+    n, k, beta, gamma = params.n, params.k, params.beta, params.gamma
+    lower = tuple(4 * gamma * (m - n) for m in range(1, n_trunc))
     diag = tuple(beta * (4 * m + 2 * k + d) for m in range(n_trunc))
     upper = tuple(-2 * (m + 1) * (2 * m + 2 * k + d) for m in range(n_trunc - 1))
     return lower, diag, upper
@@ -157,17 +151,6 @@ def perturbation_split(params: ModelParams) -> PerturbationSplit:
         (h0_lower, zero_diag, h0_upper), (zero_off, h1_diag, zero_off),
         (zero_off, zero_diag, h2_upper), n, k,
     )
-
-
-def energy_from_epsilon(eps: float, dim: float, params: ModelParams) -> float:
-    """Map a dimensionless eigenvalue back to the physical energy,
-    E = beta*D + 2*sqrt(2*gamma*D)*eps.  Floating point by design."""
-    d = float(dim)
-    if d <= 0:
-        raise ValueError("dimension D must be positive")
-    return float(params.beta) * d + 2.0 * math.sqrt(
-        2.0 * float(params.gamma) * d
-    ) * float(eps)
 
 
 def split_reassembly_residual(params: ModelParams, rho: int) -> ExactMatrix:

@@ -30,7 +30,6 @@ from .model import (
     ModelParams,
     RadialWavefunction,
     general_matrix,
-    qes_coupling,
     qes_matrix,
 )
 
@@ -412,9 +411,7 @@ def truncated_spectrum(
     unbounded recursion and are omitted here.  Only decoupled blocks
     with positive off-diagonal products contribute.
     """
-    matrix = TridiagonalReal.from_exact(
-        general_matrix(n_trunc, qes_coupling(params, dim), params, dim)
-    )
+    matrix = TridiagonalReal.from_exact(general_matrix(n_trunc, params, dim))
     values: list[float] = []
     for block in _irreducible_blocks(matrix):
         if all(lo * up > 0.0 for lo, up in zip(block.lower, block.upper)):

@@ -192,9 +192,15 @@ def energy_series(
     params: ModelParams,
     dim: Scalar,
     t_value: float | None = None,
-) -> tuple[list[TPoly], float]:
-    """Exact coefficient list plus its floating-point partial sum at
-    lambda = 1/sqrt(D)."""
+) -> float:
+    """Floating-point partial sum of the energy series of one state at
+    lambda = 1/sqrt(D),
+
+        E = beta*D + 2*sqrt(2*gamma*D) * (eps0 + sum_{k>=1} eps^(k) lambda^k),
+
+    summed over :func:`energy_coefficients`; t is ``params.t_float()``
+    unless ``t_value`` is given.  Raises ValueError when the sum leaves
+    the float64 range."""
     coeffs = energy_coefficients(result, state)
     d = float(dim)
     if d <= 0:
@@ -202,6 +208,12 @@ def energy_series(
     lam = 1.0 / math.sqrt(d)
     t0 = params.t_float() if t_value is None else float(t_value)
     total = 0.0
-    for m, poly in enumerate(coeffs):
-        total += poly.evaluate_float(t0) * lam ** (m - 2)
-    return coeffs, math.sqrt(2.0 * float(params.gamma)) * total
+    try:
+        for m, poly in enumerate(coeffs):
+            total += poly.evaluate_float(t0) * lam ** (m - 2)
+    except OverflowError:
+        total = math.inf
+    energy = math.sqrt(2.0 * float(params.gamma)) * total
+    if not math.isfinite(energy):
+        raise ValueError(f"energy at D={dim} is beyond the float64 range")
+    return energy

@@ -168,7 +168,7 @@ def test_ac6_finite_dimension_convergence():
                 rel_at_largest = None
                 for d in dims:
                     oracle_value = qes_spectrum(p, d, tol)[j]
-                    series_value = energy_series(result, j, p, d)[1]
+                    series_value = energy_series(result, j, p, d)
                     err = abs(series_value - oracle_value)
                     if d == dims[-1]:
                         rel_at_largest = err / abs(oracle_value)

@@ -36,6 +36,10 @@ def run_cli_bytes(*args):
     return completed.stdout
 
 
+def parse_poly(items):
+    return TPoly([Fraction(s) for s in items])
+
+
 def test_spectrum_two_state():
     out = run_cli("spectrum", "-N", "2", "-k", "0",
                   "--beta", "1", "--gamma", "1", "-D", "3", "--show-matrix")
@@ -77,7 +81,7 @@ def test_series_coefficients():
     out = run_cli("series", "-N", "2", "-k", "0", "-K", "5")
     doc = json.loads(out.stdout)
     state1 = doc["exact"]["states"][1]
-    coeffs = [TPoly.from_strings(c) for c in state1["energy_coefficients"]]
+    coeffs = [parse_poly(c) for c in state1["energy_coefficients"]]
     t = TPoly.t()
     assert coeffs == [t, TPoly.constant(2), 2 * t, TPoly((0, 0, 1)),
                       TPoly.zero(), TPoly((0, 0, 0, 0, Fraction(-1, 4))),
@@ -88,7 +92,7 @@ def test_series_zeroth_order_ladder():
     out = run_cli("series", "-N", "4", "-K", "0")
     doc = json.loads(out.stdout)
     levels = [
-        TPoly.from_strings(s["eps"][0]).coefficient(0)
+        parse_poly(s["eps"][0]).coefficient(0)
         for s in doc["exact"]["states"]
     ]
     assert levels == [-3, -1, 1, 3]
@@ -126,7 +130,7 @@ def test_series_exact_round_trip():
     doc = json.loads(out.stdout)
     for state in doc["exact"]["states"]:
         for strings in state["eps"] + state["energy_coefficients"]:
-            poly = TPoly.from_strings(strings)
+            poly = parse_poly(strings)
             assert poly.to_strings() == strings
 
 
@@ -262,6 +266,8 @@ def assert_one_line_error(out, words):
     (("spectrum", "-N", "3", "-D", "1e300", "--beta", "1e300"), ("float64", "beta")),
     (("spectrum", "-N", "3", "-D", "1e200", "--gamma", "1e200"), ("float64",)),
     (("series", "-N", "2", "-K", "4", "--t", "1e300", "-D", "10"), ("float64", "D=10")),
+    (("series", "-N", "2", "-K", "6", "-D", "1e-200"), ("float64",)),
+    (("validate", "-N", "2", "-K", "6", "-D", "1e-200,1"), ("float64",)),
 ])
 def test_model_beyond_float64_is_one_line_error(args, words):
     assert_one_line_error(run_cli(*args, check=False), words)

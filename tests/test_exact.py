@@ -5,13 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qes_sextic.exact import (
-    ExactMatrix,
-    TPoly,
-    as_rational,
-    rational_from_str,
-    rational_to_str,
-)
+from qes_sextic.exact import ExactMatrix, TPoly, as_rational
 
 
 # ---------------------------------------------------------------------------
@@ -66,15 +60,6 @@ def test_field_axioms_on_random_big_values():
         assert (a < b) == ((a - b) < 0)
 
 
-def test_rational_string_round_trip():
-    rng = random.Random(7)
-    for _ in range(100):
-        x = Fraction(rng.randint(-10**20, 10**20), rng.randint(1, 10**20))
-        assert rational_from_str(rational_to_str(x)) == x
-    assert rational_to_str(Fraction(5)) == "5"
-    assert rational_to_str(Fraction(-1, 2)) == "-1/2"
-
-
 def test_floats_rejected():
     with pytest.raises(TypeError):
         as_rational(0.5)
@@ -98,22 +83,11 @@ def test_evaluate():
     assert p.evaluate(Fraction(1, 2)) == Fraction(-3, 4)
 
 
-def test_binomial_cube():
-    p = (TPoly.one() + TPoly.t()) ** 3
-    assert p.coeffs == (1, 3, 3, 1)
-
-
 def test_trailing_zeros_stripped():
     assert TPoly((1, 2, 0, 0)).coeffs == (1, 2)
     assert TPoly((0, 0)).is_zero
     assert TPoly().degree == -1
     assert TPoly((5,)).degree == 0
-
-
-def test_derivative():
-    p = TPoly((0, -2, 0, 1))  # t^3 - 2t
-    assert p.derivative() == TPoly((-2, 0, 3))
-    assert TPoly((7,)).derivative().is_zero
 
 
 def test_scalar_operations():
@@ -149,7 +123,7 @@ def test_poly_string_round_trip():
             [Fraction(rng.randint(-99, 99), rng.randint(1, 99))
              for _ in range(rng.randint(0, 8))]
         )
-        assert TPoly.from_strings(p.to_strings()) == p
+        assert TPoly([Fraction(s) for s in p.to_strings()]) == p
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from qes_sextic.exact import TPoly
 from qes_sextic.model import (
     ModelParams,
     RadialWavefunction,
-    energy_from_epsilon,
     general_matrix,
     perturbation_split,
     qes_coupling,
@@ -80,8 +79,7 @@ def test_two_state_eigenvalues_match_quadratic_formula():
 def test_general_matrix_terminating_row_vanishes():
     p = params(3, 1, beta=Fraction(2, 3), gamma=Fraction(5, 4))
     d = Fraction(7, 2)
-    a = qes_coupling(p, d)
-    g_lower, g_diag, g_upper = general_matrix(10, a, p, d)
+    g_lower, g_diag, g_upper = general_matrix(10, p, d)
     assert g_lower[p.n - 1] == 0  # exact zero, not small
     # and the terminating block equals the dedicated constructor
     q_lower, q_diag, q_upper = qes_matrix(p, d)
@@ -93,8 +91,7 @@ def test_general_matrix_terminating_row_vanishes():
 def test_general_matrix_equals_qes_matrix_at_same_size():
     p = params(4, 2, beta=2, gamma=3)
     d = 5
-    a = qes_coupling(p, d)
-    assert general_matrix(4, a, p, d) == qes_matrix(p, d)
+    assert general_matrix(4, p, d) == qes_matrix(p, d)
 
 
 def test_truncated_spectrum_contains_terminating_block():
@@ -185,26 +182,18 @@ def test_reassembled_split_reproduces_numeric_spectrum():
     eps_values = tridiagonal_spectrum(
         TridiagonalReal(tuple(diag), tuple(lower), tuple(upper))
     )
-    mapped = [energy_from_epsilon(e, d, p) for e in eps_values]
+    # E = beta*D + 2*sqrt(2*gamma*D)*eps
+    scale = 2.0 * math.sqrt(2.0 * float(p.gamma) * d)
+    mapped = [float(p.beta) * d + scale * e for e in eps_values]
     reference = qes_spectrum(p, d)
     for got, want in zip(mapped, reference):
         assert got == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
 
 
-def test_energy_map_at_origin():
-    assert energy_from_epsilon(0.0, 4.0, params(1, 0)) == pytest.approx(4.0)
-
-
 def test_energy_map_single_state_exact_solvability():
     # the 1x1 block has eigenvalue beta*(2k+D); eps = 0 at k = 0
     p = params(1, 0, beta=Fraction(3, 2))
-    assert energy_from_epsilon(0.0, 6.0, p) == pytest.approx(9.0)
     assert qes_spectrum(p, 6)[0] == pytest.approx(9.0, abs=1e-12)
-
-
-def test_energy_map_rejects_bad_dimension():
-    with pytest.raises(ValueError):
-        energy_from_epsilon(0.0, -1.0, params())
 
 
 def test_offdiagonal_products_strictly_positive():

@@ -200,7 +200,7 @@ def test_predicted_counts_give_the_plain_descent_bit_for_bit(
 
 def test_predicted_counts_bit_for_bit_on_general_blocks(monkeypatch):
     p = ModelParams(200, 1, Fraction(3, 2), Fraction(1, 2))
-    m = TridiagonalReal.from_exact(general_matrix(260, qes_coupling(p, 3), p, 3))
+    m = TridiagonalReal.from_exact(general_matrix(260, p, 3))
     blocks = [b for b in oracle._irreducible_blocks(m)
               if all(lo * up > 0.0 for lo, up in zip(b.lower, b.upper))]
     assert blocks

@@ -302,8 +302,11 @@ def test_energy_coefficients_single_state():
 def test_energy_series_single_state_is_exact():
     p, res = run(1, 2, 3, beta=Fraction(3, 2))
     for d in (10, 100):
-        _, value = energy_series(res, 0, p, d)
+        value = energy_series(res, 0, p, d)
         assert value == pytest.approx(float(p.beta) * (2 * p.k + d), rel=1e-15)
+    for d in (0, -1):
+        with pytest.raises(ValueError):
+            energy_series(res, 0, p, d)
 
 
 def test_series_approaches_oracle_with_expected_rate():
@@ -319,7 +322,7 @@ def test_series_approaches_oracle_with_expected_rate():
             errors = []
             for d in dims:
                 oracle_value = qes_spectrum(p, d, 1e-13)[j]
-                value = energy_series(res, j, p, d)[1]
+                value = energy_series(res, j, p, d)
                 errors.append(abs(value - oracle_value))
             if any(e < 1e-13 * max(1.0, abs(o)) for e, o in
                    [(errors[i], qes_spectrum(p, dims[i], 1e-13)[j])
