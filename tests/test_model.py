@@ -17,6 +17,7 @@ from qes_sextic.model import (
     split_reassembly_residual,
 )
 from qes_sextic.oracle import qes_spectrum, truncated_spectrum
+from qes_sextic.rspt import energy_series, perturbation_series
 
 
 def params(n=2, k=0, beta=1, gamma=1):
@@ -194,6 +195,14 @@ def test_energy_map_single_state_exact_solvability():
     # the 1x1 block has eigenvalue beta*(2k+D); eps = 0 at k = 0
     p = params(1, 0, beta=Fraction(3, 2))
     assert qes_spectrum(p, 6)[0] == pytest.approx(9.0, abs=1e-12)
+
+
+def test_energy_map_rejects_bad_dimension():
+    p = params(1, 0)
+    res = perturbation_series(perturbation_split(p), 2)
+    for d in (0, -1):
+        with pytest.raises(ValueError):
+            energy_series(res, 0, p, d)
 
 
 def test_offdiagonal_products_strictly_positive():
