@@ -10,69 +10,56 @@ result at finite dimension.  ``cli`` exposes both as the ``qes-sextic``
 command.
 """
 
-from .exact import ExactMatrix, TPoly, as_rational
-from .kac import KacDecomposition, kac_eigenvalues, kac_involution, kac_matrix
-from .model import (
-    ModelParams,
-    PerturbationSplit,
-    RadialWavefunction,
-    general_matrix,
-    perturbation_split,
-    qes_coupling,
-    qes_matrix,
-    split_reassembly_residual,
-)
-from .oracle import (
-    TridiagonalReal,
-    bisection_eigenvalues,
-    inverse_iteration,
-    qes_spectrum,
-    radial_wavefunction,
-    symmetrize,
-    tridiagonal_spectrum,
-    truncated_spectrum,
-)
-from .rspt import (
-    SeriesResult,
-    energy_coefficients,
-    energy_series,
-    first_order_constraints,
-    order_residual,
-    perturbation_series,
-    unperturbed_levels,
-)
+import importlib
 
-__all__ = [
-    "ExactMatrix",
-    "KacDecomposition",
-    "ModelParams",
-    "PerturbationSplit",
-    "RadialWavefunction",
-    "SeriesResult",
-    "TPoly",
-    "TridiagonalReal",
-    "as_rational",
-    "bisection_eigenvalues",
-    "energy_coefficients",
-    "energy_series",
-    "first_order_constraints",
-    "general_matrix",
-    "inverse_iteration",
-    "kac_eigenvalues",
-    "kac_involution",
-    "kac_matrix",
-    "order_residual",
-    "perturbation_series",
-    "perturbation_split",
-    "qes_coupling",
-    "qes_matrix",
-    "qes_spectrum",
-    "radial_wavefunction",
-    "split_reassembly_residual",
-    "symmetrize",
-    "tridiagonal_spectrum",
-    "truncated_spectrum",
-    "unperturbed_levels",
-]
+# exported name -> the module that defines it; each module is imported on
+# first use of one of its names (PEP 562), so ``import qes_sextic.cli``
+# loads only the layers the subcommand needs
+_EXPORTS = {
+    "exact": ("ExactMatrix", "TPoly", "as_rational"),
+    "kac": ("KacDecomposition", "kac_eigenvalues", "kac_involution", "kac_matrix"),
+    "model": (
+        "ModelParams",
+        "PerturbationSplit",
+        "RadialWavefunction",
+        "general_matrix",
+        "perturbation_split",
+        "qes_coupling",
+        "qes_matrix",
+        "split_reassembly_residual",
+    ),
+    "oracle": (
+        "TridiagonalReal",
+        "bisection_eigenvalues",
+        "inverse_iteration",
+        "qes_spectrum",
+        "radial_wavefunction",
+        "symmetrize",
+        "tridiagonal_spectrum",
+        "truncated_spectrum",
+    ),
+    "rspt": (
+        "SeriesResult",
+        "energy_coefficients",
+        "energy_series",
+        "first_order_constraints",
+        "order_residual",
+        "perturbation_series",
+        "unperturbed_levels",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"

@@ -20,8 +20,9 @@ from fractions import Fraction
 from .exact import ExactMatrix
 from .kac import kac_involution
 from .model import ModelParams, perturbation_split, qes_coupling, qes_matrix
-from .oracle import qes_spectrum, radial_wavefunction, truncated_spectrum
-from .rspt import energy_coefficients, energy_series, perturbation_series
+
+# ``oracle`` and ``rspt`` are imported inside the subcommands that run
+# them, so a call pays the start-up of the layers it uses only
 
 EMBEDDING_RTOL = 1e-8
 SLOPE_RTOL = 0.20
@@ -196,9 +197,13 @@ def _max_abs_entry(matrix: ExactMatrix) -> Fraction:
 # subcommands
 
 def cmd_spectrum(args) -> int:
+    from .oracle import qes_spectrum, truncated_spectrum
+
     params = ModelParams(args.n, args.k, args.beta, args.gamma)
     dim = args.dim
     coupling = qes_coupling(params, dim)
+    if args.general is not None and args.general < params.n:
+        raise ValueError("truncation size must be at least N")
     eigenvalues = qes_spectrum(params, dim, args.tol)
 
     checks = []
@@ -208,8 +213,6 @@ def cmd_spectrum(args) -> int:
         "eigenvalues": eigenvalues,
     }
     if args.general is not None:
-        if args.general < params.n:
-            raise ValueError("truncation size must be at least N")
         general = truncated_spectrum(params, dim, args.general, args.tol)
         deviations = []
         for value in eigenvalues:
@@ -242,6 +245,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from .rspt import energy_coefficients, energy_series, perturbation_series
+
     params = ModelParams(args.n, args.k, args.beta, args.gamma)
     if args.order < 0:
         raise ValueError("order K must be non-negative")
@@ -299,6 +304,9 @@ def cmd_series(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .oracle import qes_spectrum
+    from .rspt import energy_series, perturbation_series
+
     params = ModelParams(args.n, args.k, args.beta, args.gamma)
     if args.order < 0:
         raise ValueError("order K must be non-negative")
@@ -435,6 +443,8 @@ def cmd_pmatrix(args) -> int:
 
 
 def cmd_wavefunction(args) -> int:
+    from .oracle import radial_wavefunction
+
     params = ModelParams(args.n, args.k, args.beta, args.gamma)
     if args.samples < 1:
         raise ValueError("samples must be positive")

@@ -11,7 +11,6 @@ always evaluated as M X M / 2^(N-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .exact import ExactMatrix
@@ -30,21 +29,33 @@ def kac_eigenvalues(n: int) -> tuple[int, ...]:
     return tuple(n - 1 - 2 * j for j in range(n))
 
 
-@dataclass(frozen=True)
 class KacDecomposition:
     """Exact eigendecomposition of the Kac-type matrix.
 
     ``m`` is the integer eigenvector matrix; the involution is
     ``m / 2^(scale_pow / 2)`` and satisfies ``m @ m == 2^scale_pow * I``.
     Column j of ``m`` is a right eigenvector for eigenvalue ``z[j]`` and
-    row j a left eigenvector for the same value.
+    row j a left eigenvector for the same value.  Instances are immutable.
     """
+
+    __slots__ = ("n", "t_matrix", "z", "m", "scale_pow")
 
     n: int
     t_matrix: ExactMatrix
     z: tuple[int, ...]
     m: ExactMatrix
     scale_pow: int
+
+    def __init__(self, n: int, t_matrix: ExactMatrix, z: tuple[int, ...],
+                 m: ExactMatrix, scale_pow: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "t_matrix", t_matrix)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "scale_pow", scale_pow)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("KacDecomposition is immutable")
 
     def conjugate(self, x: ExactMatrix) -> ExactMatrix:
         """Rational similarity P X P computed as M X M / 2^(n-1)."""

@@ -39,7 +39,6 @@ wavefunction evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ExactMatrix, Scalar, TPoly, as_rational
@@ -49,32 +48,40 @@ Diagonals = tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ..
 PolyDiagonals = tuple[tuple[TPoly, ...], tuple[TPoly, ...], tuple[TPoly, ...]]
 
 
-@dataclass(frozen=True)
 class ModelParams:
     """QES block size n, angular momentum k and positive couplings.
 
     The dimensionless coupling t = beta/sqrt(2*gamma) is irrational in
     general and is kept symbolic throughout the exact layer;
     :meth:`exact_t` returns its rational value when beta^2/(2*gamma)
-    happens to be a perfect square of a rational.
+    happens to be a perfect square of a rational.  Instances are
+    immutable.
     """
+
+    __slots__ = ("n", "k", "beta", "gamma")
 
     n: int
     k: int
     beta: Fraction
     gamma: Fraction
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+    def __init__(self, n: int, k: int, beta: Scalar, gamma: Scalar):
+        if not isinstance(n, int) or n < 1:
             raise ValueError("block size n must be a positive integer")
-        if not isinstance(self.k, int) or self.k < 0:
+        if not isinstance(k, int) or k < 0:
             raise ValueError("angular momentum k must be a non-negative integer")
-        object.__setattr__(self, "beta", as_rational(self.beta))
-        object.__setattr__(self, "gamma", as_rational(self.gamma))
-        if self.beta <= 0:
+        beta, gamma = as_rational(beta), as_rational(gamma)
+        if beta <= 0:
             raise ValueError("beta must be positive")
-        if self.gamma <= 0:
+        if gamma <= 0:
             raise ValueError("gamma must be positive")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ModelParams is immutable")
 
     def ell(self, dim: Scalar) -> Fraction:
         """Angular factor l = k + (D-3)/2 (a half-integer for even D)."""
@@ -93,16 +100,29 @@ class ModelParams:
         return float(self.beta) / math.sqrt(2.0 * float(self.gamma))
 
 
-@dataclass(frozen=True)
 class PerturbationSplit:
     """H(lambda) = h0 + lambda*h1 + lambda^2*h2, each term as its three
-    diagonals; ``ExactMatrix.tridiagonal(*split.h0)`` gives the dense h0."""
+    diagonals; ``ExactMatrix.tridiagonal(*split.h0)`` gives the dense h0.
+    Instances are immutable."""
+
+    __slots__ = ("h0", "h1", "h2", "n", "k")
 
     h0: PolyDiagonals
     h1: PolyDiagonals
     h2: PolyDiagonals
     n: int
     k: int
+
+    def __init__(self, h0: PolyDiagonals, h1: PolyDiagonals, h2: PolyDiagonals,
+                 n: int, k: int):
+        object.__setattr__(self, "h0", h0)
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "h2", h2)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PerturbationSplit is immutable")
 
 
 def qes_coupling(params: ModelParams, dim: Scalar) -> Fraction:
@@ -186,17 +206,29 @@ def split_reassembly_residual(params: ModelParams, rho: int) -> ExactMatrix:
     return rescaled - expected
 
 
-@dataclass(frozen=True)
 class RadialWavefunction:
     """Terminating bound-state wavefunction in the numeric layer.
 
     psi(r) = sum_n h[n] * r^(2n + ell + 1) * exp(-beta*r^2/2 - gamma*r^4/4)
+
+    Instances are immutable.
     """
+
+    __slots__ = ("h", "beta", "gamma", "ell")
 
     h: tuple[float, ...]
     beta: float
     gamma: float
     ell: float
+
+    def __init__(self, h: tuple[float, ...], beta: float, gamma: float, ell: float):
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "ell", ell)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RadialWavefunction is immutable")
 
     def value(self, r: float) -> float:
         if r <= 0:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from .model import (
     ModelParams,
@@ -36,19 +35,26 @@ from .model import (
 _EPS = sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
 class TridiagonalReal:
     """Real tridiagonal matrix: lower[i] = entry (i+1, i), upper[i] =
-    entry (i, i+1)."""
+    entry (i, i+1).  Instances are immutable."""
+
+    __slots__ = ("diag", "lower", "upper")
 
     diag: tuple[float, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
 
-    def __post_init__(self):
-        n = len(self.diag)
-        if len(self.lower) != n - 1 or len(self.upper) != n - 1:
+    def __init__(self, diag, lower, upper):
+        n = len(diag)
+        if len(lower) != n - 1 or len(upper) != n - 1:
             raise ValueError("off-diagonals must have length n-1")
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TridiagonalReal is immutable")
 
     @property
     def n(self) -> int:
@@ -118,15 +124,24 @@ def _pivmin(off_sq) -> float:
 def _sturm_count(
     diag: tuple[float, ...], off_sq: tuple[float, ...], x: float, pivmin: float
 ) -> int:
-    """Number of eigenvalues strictly below x (LDL^T inertia count)."""
+    """Number of eigenvalues strictly below x (LDL^T inertia count).
+
+    Pivot q_i = (d_i - x) - off_sq[i-1] / q_(i-1); a pivot in (-pivmin,
+    pivmin) is replaced by -pivmin, and the count is the number of pivots
+    below pivmin, which are exactly the negative ones after the clamp
+    (a NaN pivot is not counted).
+    """
+    pivots = iter(diag)
+    q = next(pivots) - x
     count = 0
-    q = 1.0
-    for i, d in enumerate(diag):
-        q = (d - x) if i == 0 else (d - x) - off_sq[i - 1] / q
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0.0:
+    for d, e in zip(pivots, off_sq):
+        if q < pivmin:
+            if q > -pivmin:
+                q = -pivmin
             count += 1
+        q = (d - x) - e / q
+    if q < pivmin:
+        count += 1
     return count
 
 
@@ -200,38 +215,42 @@ def _descent(diag, off_sq, pivmin, glo, ghi, tol, estimates=None):
     """
     n = len(diag)
     delta = 64.0 * _EPS * max(abs(glo), abs(ghi))
-    predicted: dict[float, int] = {}
     # one descent shared by all eigenvalues: bracket (lo, hi] holds indices
     # count(lo) .. count(hi)-1; clamping a count into that range splits them
-    # as one bisection per index would, so the values are the same
+    # as one bisection per index would, so the values are the same.  Each
+    # end carries a flag telling whether its count was predicted.
     values: list[float] = []
-    stack = [(glo, 0, ghi, n, 0)]
+    stack = [(glo, 0, False, ghi, n, False, 0)]
     while stack:
-        lo, count_lo, hi, count_hi, depth = stack.pop()
+        lo, count_lo, guess_lo, hi, count_hi, guess_hi, depth = stack.pop()
         if depth == 300 or hi - lo <= tol + 2.0 * _EPS * max(abs(lo), abs(hi)):
-            for end in (lo, hi):
-                if end in predicted and (
-                        _sturm_count(diag, off_sq, end, pivmin) != predicted.pop(end)):
-                    return None
+            if guess_lo and _sturm_count(diag, off_sq, lo, pivmin) != count_lo:
+                return None
+            if guess_hi and _sturm_count(diag, off_sq, hi, pivmin) != count_hi:
+                return None
             values.extend([0.5 * lo + 0.5 * hi] * (count_hi - count_lo))
             continue
         mid = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
+        guess = False
         if estimates is None:
             count = _sturm_count(diag, off_sq, mid, pivmin)
         else:
             below = bisect_left(estimates, mid - delta)
             within = bisect_right(estimates, mid + delta)
             if below == within:
-                count = predicted[mid] = min(max(below, count_lo), count_hi)
+                count, guess = below, True
             else:
                 count = _sturm_count(diag, off_sq, mid, pivmin)
                 if not below <= count <= within:
                     return None
-        count = min(max(count, count_lo), count_hi)
+        if count < count_lo:
+            count = count_lo
+        elif count > count_hi:
+            count = count_hi
         if count < count_hi:
-            stack.append((mid, count, hi, count_hi, depth + 1))
+            stack.append((mid, count, guess, hi, count_hi, guess_hi, depth + 1))
         if count > count_lo:
-            stack.append((lo, count_lo, mid, count, depth + 1))
+            stack.append((lo, count_lo, guess_lo, mid, count, guess, depth + 1))
     return values
 
 

@@ -273,6 +273,20 @@ def test_model_beyond_float64_is_one_line_error(args, words):
     assert_one_line_error(run_cli(*args, check=False), words)
 
 
+def test_spectrum_checks_truncation_size_before_solving(monkeypatch, capsys):
+    from qes_sextic import cli, oracle
+
+    def unreachable(*args):
+        raise AssertionError("the spectrum was computed before the check")
+
+    monkeypatch.setattr(oracle, "qes_spectrum", unreachable)
+    monkeypatch.setattr(cli, "qes_spectrum", unreachable, raising=False)
+    code = cli.main(["spectrum", "-N", "800", "-D", "100", "--general", "10"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == "error: truncation size must be at least N\n"
+
+
 @pytest.mark.parametrize("dims", ["100,100", "100,1e2", "100,200/2,1000"])
 def test_validate_repeated_dimension_is_one_line_error(dims):
     out = run_cli("validate", "-N", "2", "-D", dims, check=False)

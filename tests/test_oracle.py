@@ -178,7 +178,7 @@ def _model(n, k, beta, gamma, dim):
     return symmetrize(TridiagonalReal.from_exact(qes_matrix(params, dim)))
 
 
-@pytest.mark.parametrize("n,k,beta,gamma,dim,tol", [
+MODEL_MATRICES = [
     (800, 1, 2, 1, 100, 1e-12),
     (400, 3, 1, 1, 1000, 1e-12),
     (300, 0, Fraction(3, 4), Fraction(1, 2), 3, 1e-12),
@@ -188,7 +188,53 @@ def _model(n, k, beta, gamma, dim):
     (250, 2, 5, Fraction(1, 4), 10000, 1e-12),
     (200, 1, Fraction(1, 4), 6, Fraction(7, 2), 1e-12),
     (400, 0, 1, 1, 30, 1e-3),
-])
+]
+
+
+def _reference_sturm_count(diag, off_sq, x, pivmin):
+    # the seed's kernel: clamp and count in two separate tests
+    count = 0
+    q = 1.0
+    for i, d in enumerate(diag):
+        q = (d - x) if i == 0 else (d - x) - off_sq[i - 1] / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        if q < 0.0:
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("n,k,beta,gamma,dim,tol", MODEL_MATRICES)
+def test_sturm_count_equals_the_reference_kernel(n, k, beta, gamma, dim, tol):
+    diag, off = _model(n, k, beta, gamma, dim)
+    off_sq = tuple(e * e for e in off)
+    pivmin = oracle._pivmin(off_sq)
+    rng = random.Random(n + k)
+    radius = 2.0 * max(off)
+    xs = [rng.uniform(min(diag) - radius, max(diag) + radius) for _ in range(60)]
+    tiny = sys.float_info.min
+    xs += [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+           tiny / 4, -tiny / 4, pivmin, -pivmin, pivmin / 2, -pivmin / 2, *diag]
+    # with d_0 = +-0.0 the first pivot at x = 0.0, +-pivmin or +-pivmin/2
+    # is exactly +-0.0, -+pivmin or inside the clamp, and so is the last
+    # one with d_(n-1) = 0.0 and off_sq[n-2] = 0.0; with d_m set to
+    # off_sq[m-1] / q_(m-1), pivot m at x = 0.0 is exactly 0.0
+    m = n // 2
+    q = oracle._pivots(diag, off_sq, 0.0, pivmin)[m - 1]
+    variants = [
+        (diag, off_sq),
+        ((0.0,) + diag[1:], off_sq),
+        ((-0.0,) + diag[1:], off_sq),
+        (diag[:-1] + (0.0,), off_sq[:-1] + (0.0,)),
+        (diag[:m] + (off_sq[m - 1] / q,) + diag[m + 1:], off_sq),
+    ]
+    for d, e in variants:
+        for x in xs:
+            assert oracle._sturm_count(d, e, x, pivmin) == (
+                _reference_sturm_count(d, e, x, pivmin)), (d[0], d[-1], x)
+
+
+@pytest.mark.parametrize("n,k,beta,gamma,dim,tol", MODEL_MATRICES)
 def test_predicted_counts_give_the_plain_descent_bit_for_bit(
         n, k, beta, gamma, dim, tol, monkeypatch):
     diag, off = _model(n, k, beta, gamma, dim)

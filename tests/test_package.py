@@ -1,8 +1,13 @@
 """The package's public surface and the names the traced benchmark run
 (bench/spans.py) wraps by attribute."""
 
+from fractions import Fraction
+
+import pytest
+
 import qes_sextic
-from qes_sextic import exact, kac, oracle
+from qes_sextic import exact, kac, oracle, rspt
+from qes_sextic.model import ModelParams
 
 
 def test_exports_and_traced_attributes_exist():
@@ -11,5 +16,38 @@ def test_exports_and_traced_attributes_exist():
     assert "conjugate" in kac.KacDecomposition.__dict__
     assert "__matmul__" in exact.ExactMatrix.__dict__
     assert {"__mul__", "__rmul__"} <= exact.TPoly.__dict__.keys()
-    assert "from_exact" in oracle.TridiagonalReal.__dict__
+    # the traced run rewraps from_exact through its __func__
+    assert isinstance(oracle.TridiagonalReal.__dict__["from_exact"], classmethod)
     assert callable(oracle._sturm_count)
+
+
+def test_exports_are_the_defining_modules_objects():
+    assert qes_sextic.qes_spectrum is oracle.qes_spectrum
+    assert qes_sextic.perturbation_series is rspt.perturbation_series
+    assert qes_sextic.TPoly is exact.TPoly
+    with pytest.raises(AttributeError):
+        qes_sextic.no_such_name
+
+
+def test_names_the_tests_patch_exist():
+    # rspt's own binding of kac_involution is patched by the series tests
+    assert rspt.kac_involution is kac.kac_involution
+    assert callable(oracle._descent)
+    assert callable(oracle._ql_eigenvalues)
+
+
+def test_records_keep_keyword_constructors_and_stay_immutable():
+    p = ModelParams(n=2, k=0, beta=Fraction(1), gamma=Fraction(1))
+    assert (p.n, p.k, p.beta, p.gamma) == (2, 0, Fraction(1), Fraction(1))
+    assert ModelParams(2, 0, 3, 1).beta == Fraction(3)
+    with pytest.raises(ValueError):
+        ModelParams(n=2, k=0, beta=Fraction(-1), gamma=Fraction(1))
+    with pytest.raises(TypeError):
+        ModelParams(n=2, k=0, beta=1.0, gamma=Fraction(1))
+    m = oracle.TridiagonalReal(diag=(1.0, 2.0), lower=(0.5,), upper=(0.5,))
+    with pytest.raises(ValueError):
+        oracle.TridiagonalReal(diag=(1.0, 2.0), lower=(), upper=(0.5,))
+    for record, attribute in ((p, "beta"), (m, "diag"),
+                              (kac.kac_involution(2), "m")):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, None)

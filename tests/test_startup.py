@@ -1,0 +1,51 @@
+"""What start-up imports.  Each check runs a fresh interpreter and looks
+at the modules the package loads beyond what the interpreter had."""
+
+import subprocess
+import sys
+
+import pytest
+
+FORBIDDEN_AT_IMPORT = {"dataclasses", "inspect", "qes_sextic.oracle", "qes_sextic.rspt"}
+
+
+def loaded_by(code):
+    """Modules that ``code`` adds to ``sys.modules`` in a new interpreter."""
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
+    )
+    completed = subprocess.run([sys.executable, "-c", probe],
+                               capture_output=True, text=True)
+    assert completed.returncode == 0, completed.stderr
+    return set(completed.stderr.splitlines()[-1].split())
+
+
+def test_cli_import_loads_no_oracle_rspt_or_dataclasses():
+    loaded = loaded_by("import qes_sextic.cli")
+    assert "qes_sextic.cli" in loaded
+    assert not loaded & FORBIDDEN_AT_IMPORT
+
+
+@pytest.mark.parametrize("argv,unused", [
+    (["pmatrix", "-N", "2"], {"qes_sextic.oracle", "qes_sextic.rspt"}),
+    (["spectrum", "-N", "3", "-D", "10"], {"qes_sextic.rspt"}),
+    (["wavefunction", "-N", "3", "-D", "10", "--samples", "2"], {"qes_sextic.rspt"}),
+    (["series", "-N", "2", "-K", "2"], {"qes_sextic.oracle"}),
+])
+def test_subcommand_loads_only_the_layers_it_runs(argv, unused):
+    loaded = loaded_by(
+        f"from qes_sextic.cli import main\nassert main({argv!r}) == 0")
+    assert not loaded & (unused | {"dataclasses", "inspect"})
+
+
+def test_star_import_binds_every_export():
+    loaded_by(
+        "import qes_sextic\n"
+        "names = {}\n"
+        "exec('from qes_sextic import *', names)\n"
+        "missing = [n for n in qes_sextic.__all__ if n not in names]\n"
+        "assert not missing, missing\n"
+    )
