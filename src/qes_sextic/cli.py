@@ -316,6 +316,9 @@ def cmd_validate(args) -> int:
     for lower, upper in zip(dims, dims[1:]):
         if lower == upper:
             raise ValueError(f"dimension D={lower} is given more than once")
+        if float(lower) == float(upper):  # one point in the float64 fit
+            raise ValueError(
+                f"dimensions D={lower} and D={upper} are the same float64")
     # one extra correction order so the partial sum is complete through
     # lambda^K and the first omitted term is O(lambda^(K+1))
     result = perturbation_series(perturbation_split(params), args.order + 1)

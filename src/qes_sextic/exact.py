@@ -1,10 +1,11 @@
 """Exact arithmetic substrate: rationals, polynomials in t, dense matrices.
 
-Every quantity feeding the perturbation recursion is either an
+Every quantity in the perturbation recursion is either an
 arbitrary-precision rational (``fractions.Fraction``) or a dense univariate
 polynomial in the dimensionless coupling t with rational coefficients
-(:class:`TPoly`).  Matrices are square and dense with :class:`TPoly`
-entries, so integer and rational matrices are the degree-0 special case.
+(:class:`TPoly`).  :class:`ExactMatrix`, square and dense with
+:class:`TPoly` entries (degree 0 for integer and rational matrices),
+holds the recursion's results W, the Kac matrices and the exact checks.
 
 No floating point enters these types: constructors reject ``float``
 outright, which is what makes the no-rounding-error guarantee checkable
@@ -129,7 +130,8 @@ class TPoly:
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+                if b:
+                    out[i + j] += a * b
         return TPoly(out)
 
     __rmul__ = __mul__

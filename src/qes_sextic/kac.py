@@ -5,13 +5,15 @@ The limiting eigenproblem is governed by a Kac-type tridiagonal matrix T
 integer arithmetic sequence -N+1, -N+3, ..., N-1.  Its eigenvector matrix
 P is an involution, P^2 = I; column j holds the coefficients of
 (1+x)^(N-1-j) * (1-x)^j, and P = M / 2^((N-1)/2) with M integer.  Storing
-(M, scale power) keeps every downstream combination rational: P X P is
-always evaluated as M X M / 2^(N-1).
+(M, scale power) keeps P X P rational: the dense reference
+:meth:`KacDecomposition.conjugate` evaluates it as M X M / 2^(N-1), while
+the series uses the closed-form integer bands G1, G2 of :mod:`rspt`.
 """
 
 from __future__ import annotations
 
 from math import comb
+from typing import NamedTuple
 
 from .exact import ExactMatrix
 
@@ -29,33 +31,20 @@ def kac_eigenvalues(n: int) -> tuple[int, ...]:
     return tuple(n - 1 - 2 * j for j in range(n))
 
 
-class KacDecomposition:
+class KacDecomposition(NamedTuple):
     """Exact eigendecomposition of the Kac-type matrix.
 
     ``m`` is the integer eigenvector matrix; the involution is
     ``m / 2^(scale_pow / 2)`` and satisfies ``m @ m == 2^scale_pow * I``.
     Column j of ``m`` is a right eigenvector for eigenvalue ``z[j]`` and
-    row j a left eigenvector for the same value.  Instances are immutable.
+    row j a left eigenvector for the same value.
     """
-
-    __slots__ = ("n", "t_matrix", "z", "m", "scale_pow")
 
     n: int
     t_matrix: ExactMatrix
     z: tuple[int, ...]
     m: ExactMatrix
     scale_pow: int
-
-    def __init__(self, n: int, t_matrix: ExactMatrix, z: tuple[int, ...],
-                 m: ExactMatrix, scale_pow: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "t_matrix", t_matrix)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "scale_pow", scale_pow)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KacDecomposition is immutable")
 
     def conjugate(self, x: ExactMatrix) -> ExactMatrix:
         """Rational similarity P X P computed as M X M / 2^(n-1)."""

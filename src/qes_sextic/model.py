@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import ExactMatrix, Scalar, TPoly, as_rational
 
@@ -100,29 +101,15 @@ class ModelParams:
         return float(self.beta) / math.sqrt(2.0 * float(self.gamma))
 
 
-class PerturbationSplit:
+class PerturbationSplit(NamedTuple):
     """H(lambda) = h0 + lambda*h1 + lambda^2*h2, each term as its three
-    diagonals; ``ExactMatrix.tridiagonal(*split.h0)`` gives the dense h0.
-    Instances are immutable."""
-
-    __slots__ = ("h0", "h1", "h2", "n", "k")
+    diagonals; ``ExactMatrix.tridiagonal(*split.h0)`` gives the dense h0."""
 
     h0: PolyDiagonals
     h1: PolyDiagonals
     h2: PolyDiagonals
     n: int
     k: int
-
-    def __init__(self, h0: PolyDiagonals, h1: PolyDiagonals, h2: PolyDiagonals,
-                 n: int, k: int):
-        object.__setattr__(self, "h0", h0)
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h2", h2)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PerturbationSplit is immutable")
 
 
 def qes_coupling(params: ModelParams, dim: Scalar) -> Fraction:
@@ -206,29 +193,16 @@ def split_reassembly_residual(params: ModelParams, rho: int) -> ExactMatrix:
     return rescaled - expected
 
 
-class RadialWavefunction:
+class RadialWavefunction(NamedTuple):
     """Terminating bound-state wavefunction in the numeric layer.
 
     psi(r) = sum_n h[n] * r^(2n + ell + 1) * exp(-beta*r^2/2 - gamma*r^4/4)
-
-    Instances are immutable.
     """
-
-    __slots__ = ("h", "beta", "gamma", "ell")
 
     h: tuple[float, ...]
     beta: float
     gamma: float
     ell: float
-
-    def __init__(self, h: tuple[float, ...], beta: float, gamma: float, ell: float):
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "ell", ell)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RadialWavefunction is immutable")
 
     def value(self, r: float) -> float:
         if r <= 0:

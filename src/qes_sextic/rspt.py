@@ -27,36 +27,22 @@ t of degree <= k with the parity of k.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .exact import ExactMatrix, Scalar, TPoly
 from .kac import kac_involution
 from .model import ModelParams, PerturbationSplit
 
 
-class SeriesResult:
+class SeriesResult(NamedTuple):
     """Energy corrections eps[order][state] and correction matrices
-    w[order-1] for orders 1..max_order, all exact.  Instances are
-    immutable."""
-
-    __slots__ = ("n", "k", "max_order", "eps", "w")
+    w[order-1] for orders 1..max_order, all exact."""
 
     n: int
     k: int
     max_order: int
     eps: tuple[tuple[TPoly, ...], ...]
     w: tuple[ExactMatrix, ...]
-
-    def __init__(self, n: int, k: int, max_order: int,
-                 eps: tuple[tuple[TPoly, ...], ...], w: tuple[ExactMatrix, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "max_order", max_order)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "w", w)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeriesResult is immutable")
 
     def w_order(self, order: int) -> ExactMatrix:
         if not 1 <= order <= self.max_order:

@@ -293,6 +293,14 @@ def test_validate_repeated_dimension_is_one_line_error(dims):
     assert_one_line_error(out, ("D=100",))
 
 
+def test_validate_dimensions_equal_in_float64_is_one_line_error():
+    # distinct rationals, one float64: the slope fit would divide by zero
+    out = run_cli("validate", "-N", "2", "-K", "2",
+                  "-D", "3,3.0000000000000001", check=False)
+    assert_one_line_error(out, (
+        "D=3 ", "D=30000000000000001/10000000000000000", "same float64"))
+
+
 @pytest.mark.parametrize("args", [
     ("-N", "20", "-D", "1000000", "--state", "19"),
     ("-N", "50", "-D", "100000", "--state", "0"),

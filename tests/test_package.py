@@ -7,7 +7,8 @@ import pytest
 
 import qes_sextic
 from qes_sextic import exact, kac, oracle, rspt
-from qes_sextic.model import ModelParams
+from qes_sextic.exact import TPoly
+from qes_sextic.model import ModelParams, PerturbationSplit, RadialWavefunction
 
 
 def test_exports_and_traced_attributes_exist():
@@ -51,3 +52,20 @@ def test_records_keep_keyword_constructors_and_stay_immutable():
                               (kac.kac_involution(2), "m")):
         with pytest.raises(AttributeError):
             setattr(record, attribute, None)
+    # the plain records: keyword constructors, a repr naming every field,
+    # no assignment to any field
+    zero = TPoly.zero()
+    for cls, fields in (
+        (rspt.SeriesResult, dict(n=1, k=0, max_order=0, eps=((zero,),), w=())),
+        (kac.KacDecomposition, dict(n=1, t_matrix=exact.ExactMatrix([[0]]), z=(0,),
+                                    m=exact.ExactMatrix([[1]]), scale_pow=0)),
+        (PerturbationSplit, dict(h0=((), (zero,), ()), h1=((), (TPoly.t(),), ()),
+                                 h2=((), (zero,), ()), n=1, k=0)),
+        (RadialWavefunction, dict(h=(1.0,), beta=1.0, gamma=2.0, ell=0.5)),
+    ):
+        record = cls(**fields)
+        for name, value in fields.items():
+            assert getattr(record, name) == value, (cls, name)
+            assert f"{name}={value!r}" in repr(record), (cls, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
