@@ -225,16 +225,15 @@ def cmd_spectrum(args) -> int:
             {"name": "embedding", "pass": worst <= EMBEDDING_RTOL, "residual": worst}
         )
 
-    exact = {"coupling_a": str(coupling)}
-    if args.show_matrix:
-        exact["matrix"] = ExactMatrix.tridiagonal(
-            *qes_matrix(params, dim)
-        ).to_rational_strings()
-
     if args.format == "csv":
         _emit_csv(["state", "eigenvalue"],
                   [(i, repr(v)) for i, v in enumerate(eigenvalues)])
     else:
+        exact = {"coupling_a": str(coupling)}
+        if args.show_matrix:
+            exact["matrix"] = ExactMatrix.tridiagonal(
+                *qes_matrix(params, dim)
+            ).to_rational_strings()
         _emit_json({
             "params": _params_doc(params, D=str(dim)),
             "exact": exact,
@@ -251,6 +250,13 @@ def cmd_series(args) -> int:
     if args.order < 0:
         raise ValueError("order K must be non-negative")
     result = perturbation_series(perturbation_split(params), args.order)
+    if args.format == "csv":  # the symbolic coefficients only
+        rows = []
+        for j in range(params.n):
+            for power, coeff in enumerate(energy_coefficients(result, j)):
+                rows.append((j, power - 2, " ".join(coeff.to_strings()) or "0"))
+        _emit_csv(["state", "lambda_power", "coefficients"], rows)
+        return 0
 
     t_sub = args.t_value if args.t_value is not None else params.exact_t()
     states, substituted = [], []
@@ -291,15 +297,7 @@ def cmd_series(args) -> int:
                 "energies": values,
             })
         doc["numeric"] = {"dtype": "float64", "evaluations": evaluations}
-
-    if args.format == "csv":
-        rows = []
-        for entry in states:
-            for power, coeff in enumerate(entry["energy_coefficients"]):
-                rows.append((entry["state"], power - 2, " ".join(coeff) or "0"))
-        _emit_csv(["state", "lambda_power", "coefficients"], rows)
-    else:
-        _emit_json(doc)
+    _emit_json(doc)
     return 0
 
 

@@ -6,17 +6,19 @@ which :meth:`TridiagonalReal.from_exact` rounds to doubles.  They are
 asymmetric but have positive subdiagonal*superdiagonal products, so a
 diagonal similarity maps them to symmetric form with the same spectrum,
 which is where the reality of the spectrum comes from.  Eigenvalues come
-from one Sturm bisection of that symmetric form shared by all of them (as
-LAPACK ``dstebz``), eigenvectors from one twisted factorization each.
+from one Sturm bisection of that symmetric form shared by the eigenvalues
+asked for (as LAPACK ``dstebz``), eigenvectors from one twisted
+factorization each.  A spectrum takes all eigenvalues; a wavefunction
+bisects only the one of its state.
 
-Most of the bisection's Sturm counts are predicted rather than computed:
-a root-free QL iteration (EISPACK ``tqlrat``) first estimates every
-eigenvalue, and a midpoint far from every estimate takes the number of
-estimates below it as its count.  Real counts are taken near estimates
-and at the ends of the final brackets; if any of them contradicts the
-estimates, the plain descent runs instead.  Either way the eigenvalues
-are bit for bit those of the plain descent (see
-:func:`bisection_eigenvalues`).
+For the whole spectrum, most of the bisection's Sturm counts are
+predicted rather than computed: a root-free QL iteration (EISPACK
+``tqlrat``) first estimates every eigenvalue, and a midpoint far from
+every estimate takes the number of estimates below it as its count.
+Real counts are taken near estimates and at the ends of the final
+brackets; if any of them contradicts the estimates, the plain descent
+runs instead.  Either way the eigenvalues are bit for bit those of the
+plain descent (see :func:`bisection_eigenvalues`).
 """
 
 from __future__ import annotations
@@ -146,16 +148,26 @@ def _sturm_count(
 
 
 def bisection_eigenvalues(
-    diag, offdiag, tol: float = 1e-12
+    diag, offdiag, tol: float = 1e-12, first: int = 0, last: int | None = None
 ) -> list[float]:
-    """All eigenvalues of a symmetric tridiagonal matrix, ascending, each
-    to absolute tolerance tol (floored at a few ulps of its magnitude).
+    """Eigenvalues first..last-1 (default all) of a symmetric tridiagonal
+    matrix, ascending, each to absolute tolerance tol (floored at a few
+    ulps of its magnitude).  Raises ValueError unless 0 <= first < last
+    <= n.
 
     Sturm counts make every bracket certified: the returned k-th value is
     within the final bracket containing exactly the k-th eigenvalue.
 
-    The descent is shared by all eigenvalues, and most of its counts are
-    predicted from QL estimates of the eigenvalues (:func:`_ql_eigenvalues`):
+    The descent is shared by the eigenvalues asked for and follows only
+    the brackets that hold one of them, so a range is bit for bit the
+    slice of the whole spectrum (as LAPACK ``dstebz`` with RANGE='I').  A
+    bracket that holds one eigenvalue keeps one half at every step and is
+    followed in a flat loop.  A range short of the whole spectrum skips
+    the O(n^2) QL estimates below and computes every count: one index at
+    n = 200 takes about 54.
+
+    For the whole spectrum, most counts of the descent are predicted
+    from QL estimates of the eigenvalues (:func:`_ql_eigenvalues`):
     a midpoint x farther than delta = 64 eps max(|glo|, |ghi|) from every
     estimate takes the number of estimates below it.  Real counts are
     taken at every other midpoint, and at every end of a final bracket
@@ -180,6 +192,10 @@ def bisection_eigenvalues(
     n = len(diag)
     if len(offdiag) != n - 1:
         raise ValueError("off-diagonal must have length n-1")
+    if last is None:
+        last = n
+    if not 0 <= first < last <= n:
+        raise ValueError(f"index range {first}..{last - 1} not within 0..{n - 1}")
     off_sq = tuple(e * e for e in offdiag)
     pivmin = _pivmin(off_sq)
 
@@ -198,6 +214,8 @@ def bisection_eigenvalues(
     if _sturm_count(diag, off_sq, ghi, pivmin) != n:
         raise RuntimeError("eigenvalue count failed at the upper bound")
 
+    if last - first < n:
+        return _descent(diag, off_sq, pivmin, glo, ghi, tol, None, first, last)
     estimates = _ql_eigenvalues(diag, off_sq)
     if estimates is not None and all(map(math.isfinite, estimates)):
         values = _descent(diag, off_sq, pivmin, glo, ghi, tol, estimates)
@@ -206,51 +224,73 @@ def bisection_eigenvalues(
     return _descent(diag, off_sq, pivmin, glo, ghi, tol)
 
 
-def _descent(diag, off_sq, pivmin, glo, ghi, tol, estimates=None):
-    """The bisection shared by all eigenvalues, from the bracket (glo, ghi].
+def _descent(diag, off_sq, pivmin, glo, ghi, tol, estimates=None,
+             first=0, last=None):
+    """The bisection shared by eigenvalues first..last-1 (default all),
+    from the bracket (glo, ghi].
 
     Without estimates every count is computed.  With sorted estimates,
     counts far from them are predicted, and None is returned when a real
     count contradicts the estimates (see :func:`bisection_eigenvalues`).
     """
     n = len(diag)
+    if last is None:
+        last = n
     delta = 64.0 * _EPS * max(abs(glo), abs(ghi))
-    # one descent shared by all eigenvalues: bracket (lo, hi] holds indices
+    # one descent shared by the eigenvalues: bracket (lo, hi] holds indices
     # count(lo) .. count(hi)-1; clamping a count into that range splits them
-    # as one bisection per index would, so the values are the same.  Each
-    # end carries a flag telling whether its count was predicted.
+    # as one bisection per index would, so the values are the same, and a
+    # bracket whose indices miss first..last-1 can be dropped.  Each end
+    # carries a flag telling whether its count was predicted.
     values: list[float] = []
     stack = [(glo, 0, False, ghi, n, False, 0)]
     while stack:
         lo, count_lo, guess_lo, hi, count_hi, guess_hi, depth = stack.pop()
-        if depth == 300 or hi - lo <= tol + 2.0 * _EPS * max(abs(lo), abs(hi)):
+        # a bracket with one eigenvalue keeps one half at every step, so it
+        # is followed here rather than through the stack; only the
+        # estimates within delta of it can meet a midpoint's window
+        single = count_hi - count_lo == 1
+        near, offset = estimates, 0
+        if single and estimates is not None:
+            offset = bisect_left(estimates, lo - delta)
+            near = estimates[offset:bisect_right(estimates, hi + delta)]
+        while depth < 300 and hi - lo > tol + 2.0 * _EPS * max(abs(lo), abs(hi)):
+            mid = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
+            guess = False
+            if estimates is None:
+                count = _sturm_count(diag, off_sq, mid, pivmin)
+            else:
+                below = offset + bisect_left(near, mid - delta)
+                within = offset + bisect_right(near, mid + delta)
+                if below == within:
+                    count, guess = below, True
+                else:
+                    count = _sturm_count(diag, off_sq, mid, pivmin)
+                    if not below <= count <= within:
+                        return None
+            if single:
+                if count <= count_lo:
+                    lo, guess_lo = mid, guess
+                else:
+                    hi, guess_hi = mid, guess
+                depth += 1
+                continue
+            if count < count_lo:
+                count = count_lo
+            elif count > count_hi:
+                count = count_hi
+            if count < count_hi and count < last:
+                stack.append((mid, count, guess, hi, count_hi, guess_hi, depth + 1))
+            if count > count_lo and count > first:
+                stack.append((lo, count_lo, guess_lo, mid, count, guess, depth + 1))
+            break
+        else:  # a final bracket
             if guess_lo and _sturm_count(diag, off_sq, lo, pivmin) != count_lo:
                 return None
             if guess_hi and _sturm_count(diag, off_sq, hi, pivmin) != count_hi:
                 return None
-            values.extend([0.5 * lo + 0.5 * hi] * (count_hi - count_lo))
-            continue
-        mid = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
-        guess = False
-        if estimates is None:
-            count = _sturm_count(diag, off_sq, mid, pivmin)
-        else:
-            below = bisect_left(estimates, mid - delta)
-            within = bisect_right(estimates, mid + delta)
-            if below == within:
-                count, guess = below, True
-            else:
-                count = _sturm_count(diag, off_sq, mid, pivmin)
-                if not below <= count <= within:
-                    return None
-        if count < count_lo:
-            count = count_lo
-        elif count > count_hi:
-            count = count_hi
-        if count < count_hi:
-            stack.append((mid, count, guess, hi, count_hi, guess_hi, depth + 1))
-        if count > count_lo:
-            stack.append((lo, count_lo, guess_lo, mid, count, guess, depth + 1))
+            values.extend([0.5 * lo + 0.5 * hi]
+                          * (min(count_hi, last) - max(count_lo, first)))
     return values
 
 
@@ -443,11 +483,17 @@ def radial_wavefunction(
 ) -> tuple[RadialWavefunction, float]:
     """Taylor coefficients of the chosen bound state, the eigenvector of
     the model matrix, plus its energy.  States are indexed by ascending
-    energy."""
+    energy.
+
+    Only the chosen eigenvalue is bisected, bit for bit the one of
+    :func:`qes_spectrum`.  The eigenvector needs the whole matrix in
+    symmetric form, so a matrix that splits into blocks raises ValueError
+    here, as it would in :func:`inverse_iteration`.
+    """
     if not 0 <= state < params.n:
         raise IndexError(f"state must be in 0..{params.n - 1}")
     matrix = TridiagonalReal.from_exact(qes_matrix(params, dim))
-    energy = tridiagonal_spectrum(matrix, tol)[state]
+    energy = bisection_eigenvalues(*symmetrize(matrix), tol, state, state + 1)[0]
     if params.n == 1:
         coeffs = [1.0]
     else:

@@ -77,6 +77,25 @@ def test_spectrum_csv():
     assert len(lines) == 3
 
 
+def test_spectrum_csv_ignores_show_matrix():
+    plain = run_cli_bytes("spectrum", "-N", "3", "-k", "1", "--beta", "3/2",
+                          "-D", "7/2", "--format", "csv")
+    shown = run_cli_bytes("spectrum", "-N", "3", "-k", "1", "--beta", "3/2",
+                          "-D", "7/2", "--format", "csv", "--show-matrix")
+    assert shown == plain
+
+
+def test_series_csv_does_not_evaluate_dimensions():
+    # the table holds the symbolic coefficients only; an energy beyond the
+    # float64 range at -D is never computed
+    table = run_cli("series", "-N", "2", "-K", "6", "--format", "csv")
+    out = run_cli("series", "-N", "2", "-K", "6", "--format", "csv",
+                  "-D", "1e-200", check=False)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == table.stdout
+    assert out.stdout.startswith("state,lambda_power,coefficients\n0,-2,0 1\n")
+
+
 def test_series_coefficients():
     out = run_cli("series", "-N", "2", "-k", "0", "-K", "5")
     doc = json.loads(out.stdout)

@@ -335,6 +335,59 @@ def test_predicted_counts_bit_for_bit_on_random_matrices(monkeypatch):
                 _plain_descent(diag, off, tol, monkeypatch))
 
 
+def _check_ranges(diag, off, tol):
+    # single indices at both ends and the middle, and one middle slice,
+    # are bit for bit the slice of the whole spectrum
+    n = len(diag)
+    want = _hex(bisection_eigenvalues(diag, off, tol))
+    for first, last in ((0, 1), (n // 2, n // 2 + 1), (n - 1, n),
+                        (n // 3, n - n // 3)):
+        assert _hex(bisection_eigenvalues(diag, off, tol, first, last)) == (
+            want[first:last]), (first, last)
+
+
+@pytest.mark.parametrize("n,k,beta,gamma,dim,tol", MODEL_MATRICES)
+def test_index_range_is_the_slice_of_the_spectrum(n, k, beta, gamma, dim, tol):
+    _check_ranges(*_model(n, k, beta, gamma, dim), tol)
+
+
+def test_index_range_is_the_slice_on_random_matrices():
+    rng = random.Random(2024)
+    for _ in range(60):
+        n = rng.randint(1, 30)
+        diag = tuple(rng.choice((0.0, 1.0, -1.0)) * 10.0 ** rng.uniform(-8, 8)
+                     for _ in range(n))
+        off = tuple(10.0 ** rng.uniform(-12, 6) for _ in range(n - 1))
+        for tol in (1e-12, 1e-4):
+            _check_ranges(diag, off, tol)
+
+
+@pytest.mark.parametrize("n,dim,tol", [(50, 3, 1e-12), (200, 100, 1e-12),
+                                       (120, 7, 1e-3)])
+def test_single_index_equals_bisection_per_eigenvalue_under_noisy_counts(
+        n, dim, tol, monkeypatch):
+    count = oracle._sturm_count
+
+    def noisy_count(diag, off_sq, x, pivmin):
+        c = count(diag, off_sq, x, pivmin)
+        return c + hash(x) % 3 - 1 if 0 < c < len(diag) else c
+
+    monkeypatch.setattr(oracle, "_sturm_count", noisy_count)
+    diag, off = _model(n, 1, Fraction(3, 2), Fraction(1, 2), dim)
+    want = _hex(_bisection_per_eigenvalue(diag, off, tol))
+    for state in (0, n // 2, n - 1):
+        got = bisection_eigenvalues(diag, off, tol, state, state + 1)
+        assert _hex(got) == [want[state]], state
+
+
+@pytest.mark.parametrize("first,last", [(-1, 1), (0, 0), (2, 2), (3, 2),
+                                        (0, 5), (4, 5), (4, None), (-1, None)])
+def test_index_range_must_lie_within_the_spectrum(first, last):
+    with pytest.raises(ValueError):
+        bisection_eigenvalues((1.0, 2.0, 3.0, 4.0), (0.5, 0.5, 0.5), 1e-12,
+                              first, last)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
 def test_tolerance_must_be_finite_and_positive(tol):
     with pytest.raises(ValueError):
@@ -494,6 +547,53 @@ def test_wavefunction_coefficients_solve_exact_system():
     applied = m.apply(list(wf.h))
     for got, hv in zip(applied, wf.h):
         assert got == pytest.approx(energy * hv, abs=1e-8)
+
+
+@pytest.mark.parametrize("n,beta,gamma,dim,states", [
+    (1, 2, 1, 9, range(1)),
+    (2, 1, 1, 3, range(2)),
+    (7, Fraction(3, 2), Fraction(1, 2), Fraction(7, 2), range(7)),
+    (200, 1, 1, 100, (0, 100, 199)),
+    (120, Fraction(1, 4), Fraction(1, 4), 100, (60,)),
+])
+def test_wavefunction_energy_is_the_spectrum_entry(n, beta, gamma, dim, states):
+    p = ModelParams(n, 0, Fraction(beta), Fraction(gamma))
+    spectrum = qes_spectrum(p, dim)
+    for state in states:
+        _, energy = radial_wavefunction(p, dim, state)
+        assert energy.hex() == spectrum[state].hex(), state
+
+
+def test_wavefunction_bisects_its_state_alone(monkeypatch):
+    # the whole spectrum takes 1651 counts and one QL iteration here
+    calls = 0
+    count = oracle._sturm_count
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return count(*args)
+
+    def no_ql(diag, off_sq):
+        raise AssertionError("QL estimates of the whole spectrum")
+
+    monkeypatch.setattr(oracle, "_sturm_count", counting)
+    monkeypatch.setattr(oracle, "_ql_eigenvalues", no_ql)
+    radial_wavefunction(ModelParams(200, 0, Fraction(1), Fraction(1)), 100, 100)
+    assert calls <= 64
+
+
+def test_wavefunction_of_a_split_matrix_is_rejected(monkeypatch):
+    # a zero coupling splits the spectrum into blocks, but no eigenvector
+    # of the symmetric form exists across them
+    diagonals = ((Fraction(1), Fraction(0), Fraction(1)),
+                 (Fraction(5), Fraction(1), Fraction(4), Fraction(0)),
+                 (Fraction(1),) * 3)
+    monkeypatch.setattr(oracle, "qes_matrix", lambda params, dim: diagonals)
+    p = ModelParams(4, 0, Fraction(1), Fraction(1))
+    for state in range(4):
+        with pytest.raises(ValueError, match="product 0.0"):
+            radial_wavefunction(p, 3, state)
 
 
 def _dense_shifted_solver(m: TridiagonalReal, shift: float):
