@@ -197,6 +197,8 @@ def _max_abs_entry(matrix: ExactMatrix) -> Fraction:
 # subcommands
 
 def cmd_spectrum(args) -> int:
+    from bisect import bisect_left
+
     from .oracle import qes_spectrum, truncated_spectrum
 
     params = ModelParams(args.n, args.k, args.beta, args.gamma)
@@ -217,7 +219,10 @@ def cmd_spectrum(args) -> int:
         deviations = []
         for value in eigenvalues:
             scale = max(abs(value), 1e-30)
-            deviations.append(min(abs(g - value) for g in general) / scale)
+            # general is ascending, so the nearest value is a neighbour
+            i = bisect_left(general, value)
+            nearest = min(abs(g - value) for g in general[max(i - 1, 0):i + 1])
+            deviations.append(nearest / scale)
         worst = max(deviations)
         numeric["general_eigenvalues"] = general
         numeric["embedding_deviations"] = deviations

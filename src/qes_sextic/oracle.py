@@ -11,14 +11,17 @@ asked for (as LAPACK ``dstebz``), eigenvectors from one twisted
 factorization each.  A spectrum takes all eigenvalues; a wavefunction
 bisects only the one of its state.
 
-For the whole spectrum, most of the bisection's Sturm counts are
-predicted rather than computed: a root-free QL iteration (EISPACK
-``tqlrat``) first estimates every eigenvalue, and a midpoint far from
-every estimate takes the number of estimates below it as its count.
-Real counts are taken near estimates and at the ends of the final
-brackets; if any of them contradicts the estimates, the plain descent
-runs instead.  Either way the eigenvalues are bit for bit those of the
-plain descent (see :func:`bisection_eigenvalues`).
+For the whole spectrum, the bisection takes few Sturm counts: a
+root-free QL iteration (EISPACK ``tqlrat``) first estimates every
+eigenvalue.  A midpoint of a bracket that holds several eigenvalues
+takes the number of estimates below it as its count when it is far
+from every estimate.  A bracket that holds one eigenvalue descends
+toward its estimate without counting, and only the two ends of the
+final bracket it lands in are counted; when they show the eigenvalue
+beyond that bracket, the target moves past it and the search gallops.
+If a real count contradicts the estimates, the plain descent runs
+instead.  Either way the eigenvalues are bit for bit those of the plain
+descent (see :func:`bisection_eigenvalues`).
 """
 
 from __future__ import annotations
@@ -161,29 +164,36 @@ def bisection_eigenvalues(
     The descent is shared by the eigenvalues asked for and follows only
     the brackets that hold one of them, so a range is bit for bit the
     slice of the whole spectrum (as LAPACK ``dstebz`` with RANGE='I').  A
-    bracket that holds one eigenvalue keeps one half at every step and is
-    followed in a flat loop.  A range short of the whole spectrum skips
-    the O(n^2) QL estimates below and computes every count: one index at
-    n = 200 takes about 54.
+    range short of the whole spectrum skips the O(n^2) QL estimates below
+    and computes the count of every midpoint; a bracket that holds one
+    eigenvalue keeps one half at every step and is followed in a flat
+    loop.  One index at n = 200 takes about 54 counts.
 
-    For the whole spectrum, most counts of the descent are predicted
-    from QL estimates of the eigenvalues (:func:`_ql_eigenvalues`):
-    a midpoint x farther than delta = 64 eps max(|glo|, |ghi|) from every
-    estimate takes the number of estimates below it.  Real counts are
-    taken at every other midpoint, and at every end of a final bracket
-    whose count was predicted.  Certification: the count c(x) is monotone
-    in x in IEEE arithmetic (Kahan 1966; Demmel, Dhillon & Ren 1995).  A
-    midpoint x given count c has final-bracket ends at or below x with
-    count c, unless c is the count of its bracket's lower end, and at or
-    above x with count c, unless c is the count of the upper end.  So if
-    every final-bracket end is right, monotonicity makes every count right,
-    working down from the root bracket with its counts 0 and n, and the
-    descent takes exactly the steps of the plain one.  When a final
-    bracket end's real count differs from its prediction, a real count
-    lies outside [#estimates < x - delta, #estimates <= x + delta], QL
-    does not converge, or an estimate is not finite, the plain descent,
-    which computes every count, runs instead.  So the values are bit for
-    bit those of the plain descent.
+    For the whole spectrum, the descent is guided by QL estimates of the
+    eigenvalues (:func:`_ql_eigenvalues`).  In a bracket that holds
+    several eigenvalues, a midpoint x farther than delta = 64 eps
+    max(|glo|, |ghi|) from every estimate takes the number of estimates
+    below it as its count, and any other midpoint a real count that must
+    lie in [#estimates < x - delta, #estimates <= x + delta].  A bracket
+    that holds the one eigenvalue c descends toward estimate c without
+    counting (:func:`_steered`).  Only the ends of the final bracket it
+    lands in are counted, and while they show the eigenvalue beyond that
+    bracket the target gallops past it, until a final bracket has real
+    counts c and c+1 at its ends.  A final bracket that holds several
+    eigenvalues gets a real count at each end whose count was predicted.
+
+    Certification: the count c(x) is monotone in x in IEEE arithmetic
+    (Kahan 1966; Demmel, Dhillon & Ren 1995).  Every bracket is a node of
+    the plain descent's tree, whose final brackets split (glo, ghi], so
+    for each index k exactly one final bracket has a count <= k at its
+    lower end and > k at its upper end: the one where the plain descent
+    leaves eigenvalue k.  Every final bracket returned here has real
+    counts at its ends equal to the first and one past the last index it
+    holds, and these index ranges split 0..n-1, so every value is bit for
+    bit that of the plain descent.  When a real count contradicts the
+    predicted counts or the window above, QL does not converge, or an
+    estimate is not finite, the plain descent, which computes every
+    count, runs instead.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be finite and positive")
@@ -230,8 +240,10 @@ def _descent(diag, off_sq, pivmin, glo, ghi, tol, estimates=None,
     from the bracket (glo, ghi].
 
     Without estimates every count is computed.  With sorted estimates,
-    counts far from them are predicted, and None is returned when a real
-    count contradicts the estimates (see :func:`bisection_eigenvalues`).
+    counts far from them are predicted, a bracket that holds one
+    eigenvalue is steered to its estimate (:func:`_steered`), and None is
+    returned when a real count contradicts the estimates (see
+    :func:`bisection_eigenvalues`).
     """
     n = len(diag)
     if last is None:
@@ -246,52 +258,132 @@ def _descent(diag, off_sq, pivmin, glo, ghi, tol, estimates=None,
     stack = [(glo, 0, False, ghi, n, False, 0)]
     while stack:
         lo, count_lo, guess_lo, hi, count_hi, guess_hi, depth = stack.pop()
-        # a bracket with one eigenvalue keeps one half at every step, so it
-        # is followed here rather than through the stack; only the
-        # estimates within delta of it can meet a midpoint's window
-        single = count_hi - count_lo == 1
-        near, offset = estimates, 0
-        if single and estimates is not None:
-            offset = bisect_left(estimates, lo - delta)
-            near = estimates[offset:bisect_right(estimates, hi + delta)]
-        while depth < 300 and hi - lo > tol + 2.0 * _EPS * max(abs(lo), abs(hi)):
-            mid = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
-            guess = False
+        if count_hi - count_lo == 1:
             if estimates is None:
-                count = _sturm_count(diag, off_sq, mid, pivmin)
+                value = _single(diag, off_sq, pivmin, tol, lo, count_lo, hi, depth)
             else:
-                below = offset + bisect_left(near, mid - delta)
-                within = offset + bisect_right(near, mid + delta)
-                if below == within:
-                    count, guess = below, True
-                else:
-                    count = _sturm_count(diag, off_sq, mid, pivmin)
-                    if not below <= count <= within:
-                        return None
-            if single:
-                if count <= count_lo:
-                    lo, guess_lo = mid, guess
-                else:
-                    hi, guess_hi = mid, guess
-                depth += 1
-                continue
-            if count < count_lo:
-                count = count_lo
-            elif count > count_hi:
-                count = count_hi
-            if count < count_hi and count < last:
-                stack.append((mid, count, guess, hi, count_hi, guess_hi, depth + 1))
-            if count > count_lo and count > first:
-                stack.append((lo, count_lo, guess_lo, mid, count, guess, depth + 1))
-            break
-        else:  # a final bracket
+                value = _steered(diag, off_sq, pivmin, tol, estimates[count_lo],
+                                 lo, count_lo, guess_lo, hi, guess_hi, depth)
+                if value is None:
+                    return None
+            values.append(value)
+            continue
+        if not _splits(lo, hi, depth, tol):  # a final bracket
             if guess_lo and _sturm_count(diag, off_sq, lo, pivmin) != count_lo:
                 return None
             if guess_hi and _sturm_count(diag, off_sq, hi, pivmin) != count_hi:
                 return None
             values.extend([0.5 * lo + 0.5 * hi]
                           * (min(count_hi, last) - max(count_lo, first)))
+            continue
+        mid = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
+        guess = False
+        if estimates is None:
+            count = _sturm_count(diag, off_sq, mid, pivmin)
+        else:
+            below = bisect_left(estimates, mid - delta)
+            within = bisect_right(estimates, mid + delta)
+            if below == within:
+                count, guess = below, True
+            else:
+                count = _sturm_count(diag, off_sq, mid, pivmin)
+                if not below <= count <= within:
+                    return None
+        if count < count_lo:
+            count = count_lo
+        elif count > count_hi:
+            count = count_hi
+        if count < count_hi and count < last:
+            stack.append((mid, count, guess, hi, count_hi, guess_hi, depth + 1))
+        if count > count_lo and count > first:
+            stack.append((lo, count_lo, guess_lo, mid, count, guess, depth + 1))
     return values
+
+
+def _splits(lo, hi, depth, tol) -> bool:
+    """Whether the bracket (lo, hi] at this depth is bisected further."""
+    return depth < 300 and hi - lo > tol + 2.0 * _EPS * max(abs(lo), abs(hi))
+
+
+def _single(diag, off_sq, pivmin, tol, lo, count_lo, hi, depth) -> float:
+    """The value of the one eigenvalue in (lo, hi], counting every
+    midpoint; a step keeps one half, so the bracket is followed in a flat
+    loop rather than through the stack."""
+    while _splits(lo, hi, depth, tol):
+        mid = 0.5 * lo + 0.5 * hi
+        if _sturm_count(diag, off_sq, mid, pivmin) <= count_lo:
+            lo = mid
+        else:
+            hi = mid
+        depth += 1
+    return 0.5 * lo + 0.5 * hi
+
+
+def _steered(diag, off_sq, pivmin, tol, target, lo, c, guess_lo, hi,
+             guess_hi, depth) -> float | None:
+    """The value of eigenvalue c, the only one in the bracket (lo, hi],
+    steered to its estimate target; None when a real count contradicts
+    the count c at lo or c+1 at hi (predicted if guess_lo, guess_hi).
+
+    A step bisects as the plain descent does but keeps the half that
+    holds target, and takes no count.  Only the ends of the final bracket
+    are counted (each point once): counts c and c+1 there make it the
+    plain descent's final bracket of eigenvalue c.  When they show the
+    eigenvalue beyond it, target moves past it by a step that starts at
+    the final width and doubles on each miss; once there are misses on
+    both sides, or a step would pass the nearest counted end, target
+    halves the gap between the nearest counted ends instead.  Target
+    stays at or above the counted end below the eigenvalue and strictly
+    below the one above it, so each miss narrows that gap; the descent
+    resumes from the deepest bracket passed that holds target.
+    """
+    counted = {}  # point -> real count
+    if not guess_lo:
+        counted[lo] = c
+    if not guess_hi:
+        counted[hi] = c + 1
+    floor, ceiling = lo, hi
+    left, right = lo, hi  # the eigenvalue lies in [left, right)
+    t = min(max(target, lo), hi)
+    step = 0.0
+    path = []  # (lo, hi, depth) of the brackets passed
+    while True:
+        # steering keeps lo <= t < hi (t == hi only at the entry)
+        while _splits(lo, hi, depth, tol):
+            path.append((lo, hi, depth))
+            mid = 0.5 * lo + 0.5 * hi
+            if mid <= t:
+                lo = mid
+            else:
+                hi = mid
+            depth += 1
+        if lo not in counted:
+            counted[lo] = _sturm_count(diag, off_sq, lo, pivmin)
+        below = above = counted[lo]
+        if below == c:  # else the lower end alone tells a miss below
+            if hi not in counted:
+                counted[hi] = _sturm_count(diag, off_sq, hi, pivmin)
+            above = counted[hi]
+        if below == c and above == c + 1:
+            return 0.5 * lo + 0.5 * hi
+        # a miss narrows [left, right) and must stay inside the entry
+        # bracket; anything else contradicts monotone counts
+        if below == above == c + 1 and left < lo:
+            right = lo
+        elif below == above == c and hi < right:
+            left = hi
+        else:
+            return None
+        step = 2.0 * step or hi - lo
+        # gallop down while every miss was below, up while every one was above
+        t = right - step if left == floor else left + step
+        if (left != floor and right != ceiling) or not left <= t < right:
+            t = 0.5 * left + 0.5 * right
+            if t == right:  # left and right are adjacent doubles
+                t = left
+        while not path[-1][0] <= t < path[-1][1]:
+            path.pop()
+        lo, hi, depth = path.pop()
 
 
 def _ql_eigenvalues(diag, off_sq) -> list[float] | None:

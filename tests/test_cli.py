@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from qes_sextic.exact import TPoly
+from qes_sextic.model import ModelParams
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -68,6 +69,27 @@ def test_spectrum_embedding_check():
     assert check["pass"] is True
     assert check["residual"] <= 1e-8
     assert out.returncode == 0
+
+
+def test_embedding_deviations_are_to_the_nearest_general_eigenvalue(
+        monkeypatch, capsys):
+    # a general spectrum whose nearest entry to each eigenvalue lies on
+    # either side of it, and at either end of the list
+    from qes_sextic import cli, oracle
+
+    spectrum = oracle.qes_spectrum(ModelParams(6, 1, Fraction(1, 2), 3), 5)
+    general = sorted([spectrum[0] - 7.0, spectrum[-1] + 7.0]
+                     + [v * (1 + (-1) ** i * 1e-9 * (i + 1))
+                        for i, v in enumerate(spectrum)]
+                     + [0.5 * (a + b) for a, b in zip(spectrum, spectrum[1:])])
+    monkeypatch.setattr(oracle, "truncated_spectrum", lambda *args: general)
+    assert cli.main(["spectrum", "-N", "6", "-k", "1", "--beta", "1/2",
+                     "--gamma", "3", "-D", "5", "--general", "40"]) == 0
+    numeric = json.loads(capsys.readouterr().out)["numeric"]
+    assert numeric["eigenvalues"] == spectrum
+    assert numeric["embedding_deviations"] == [
+        min(abs(g - value) for g in general) / max(abs(value), 1e-30)
+        for value in spectrum]
 
 
 def test_spectrum_csv():

@@ -101,7 +101,7 @@ def test_bisection_matches_dense_reference():
             assert b - a > 1e-9
 
 
-def _bisection_per_eigenvalue(diag, off, tol):
+def _final_brackets(diag, off, tol):
     # reference: a separate bisection from the Gershgorin bracket for each
     # index, with the same width test, step cap and Sturm count
     n = len(diag)
@@ -112,7 +112,7 @@ def _bisection_per_eigenvalue(diag, off, tol):
     glo = min(d - r for d, r in zip(diag, radii))
     ghi = max(d + r for d, r in zip(diag, radii))
     margin = tol + sys.float_info.epsilon * max(abs(glo), abs(ghi), 1.0)
-    values = []
+    brackets = []
     for k in range(n):
         lo, hi = glo - margin, ghi + margin
         for _ in range(300):
@@ -123,8 +123,12 @@ def _bisection_per_eigenvalue(diag, off, tol):
                 hi = mid
             else:
                 lo = mid
-        values.append(0.5 * (lo + hi))
-    return values
+        brackets.append((lo, hi))
+    return brackets
+
+
+def _bisection_per_eigenvalue(diag, off, tol):
+    return [0.5 * (lo + hi) for lo, hi in _final_brackets(diag, off, tol)]
 
 
 @pytest.mark.parametrize("noisy", [False, True])
@@ -267,7 +271,6 @@ def _dropped(estimates):
 
 
 @pytest.mark.parametrize("wrong,predicted", [
-    (_moved, True),
     (_dropped, True),
     (lambda estimates: [math.nan] * len(estimates), False),
     (lambda estimates: None, False),  # QL did not converge
@@ -286,20 +289,80 @@ def test_wrong_estimates_fall_back_to_the_plain_descent(wrong, predicted,
     assert runs == fallback + [(False, False)]
 
 
-def test_predicted_counts_stay_within_budget(monkeypatch):
-    # the plain descent takes 36210 counts here, the predicted one 7246
-    diag, off = _model(800, 1, 2, 1, 100)
-    calls = 0
+def _count_calls(monkeypatch):
+    # the points of every real count taken from now on
+    calls = []
     count = oracle._sturm_count
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return count(*args)
+    def counting(diag, off_sq, x, pivmin):
+        calls.append(x)
+        return count(diag, off_sq, x, pivmin)
 
     monkeypatch.setattr(oracle, "_sturm_count", counting)
+    return calls
+
+
+def test_a_moved_estimate_is_recovered_in_its_bracket(monkeypatch):
+    # the estimate 1e-6 G off still lies in the bracket of its eigenvalue
+    # alone, so the steered descent gallops back from it
+    diag, off = _model(200, 1, Fraction(3, 2), Fraction(1, 2), 100)
+    want = _hex(_plain_descent(diag, off, 1e-12, monkeypatch))
+    calls = _count_calls(monkeypatch)
+    assert _hex(bisection_eigenvalues(diag, off, 1e-12)) == want
+    unmoved = len(calls)
+    calls.clear()
+    ql = oracle._ql_eigenvalues
+    monkeypatch.setattr(oracle, "_ql_eigenvalues",
+                        lambda diag, off_sq: _moved(ql(diag, off_sq)))
+    runs = _spy_descents(monkeypatch)
+    assert _hex(bisection_eigenvalues(diag, off, 1e-12)) == want
+    assert runs == [(True, False)]  # no fallback
+    assert len(calls) <= unmoved + 128
+
+
+def _steered_bit_for_bit(diag, off, tol, monkeypatch):
+    # every estimate k ulps off, and one on an end of a final bracket of
+    # the plain descent: the values stay those of the plain descent
+    want = _hex(_plain_descent(diag, off, tol, monkeypatch))
+    estimates = oracle._ql_eigenvalues(diag, tuple(e * e for e in off))
+    c = len(diag) // 2
+    lo, hi = _final_brackets(diag, off, tol)[c]
+    wrong = [[e + k * math.ulp(e) for e in estimates]
+             for k in (0, 1, -1, 2, -2, 7, -7, 2**10, -2**10, 2**30, -2**30)]
+    wrong += [estimates[:c] + [end] + estimates[c + 1:] for end in (lo, hi)]
+    with monkeypatch.context() as patch:
+        for given in wrong:
+            patch.setattr(oracle, "_ql_eigenvalues",
+                          lambda diag, off_sq: list(given))
+            assert _hex(bisection_eigenvalues(diag, off, tol)) == want
+
+
+def test_steering_under_perturbed_estimates_on_random_matrices(monkeypatch):
+    rng = random.Random(2024)  # the matrices of the test below
+    for _ in range(60):
+        n = rng.randint(1, 30)
+        diag = tuple(rng.choice((0.0, 1.0, -1.0)) * 10.0 ** rng.uniform(-8, 8)
+                     for _ in range(n))
+        off = tuple(10.0 ** rng.uniform(-12, 6) for _ in range(n - 1))
+        for tol in (1e-12, 1e-4):
+            _steered_bit_for_bit(diag, off, tol, monkeypatch)
+
+
+@pytest.mark.parametrize("n,k,beta,gamma,dim,tol", [
+    MODEL_MATRICES[3], MODEL_MATRICES[4], MODEL_MATRICES[7]])
+def test_steering_under_perturbed_estimates(n, k, beta, gamma, dim, tol,
+                                            monkeypatch):
+    _steered_bit_for_bit(*_model(n, k, beta, gamma, dim), tol, monkeypatch)
+
+
+def test_predicted_counts_stay_within_budget(monkeypatch):
+    # the plain descent takes 36210 counts here; predicted counts with real
+    # counts in a window around each estimate took 7246, the steered
+    # descent takes 4341
+    diag, off = _model(800, 1, 2, 1, 100)
+    calls = _count_calls(monkeypatch)
     bisection_eigenvalues(diag, off, 1e-12)
-    assert calls <= 9000
+    assert len(calls) <= 5000
 
 
 @pytest.mark.parametrize("diag,off", [
