@@ -94,6 +94,9 @@ class TPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals its scalar, so it must hash as that scalar
+        if self.degree <= 0:
+            return hash(self.coefficient(0))
         return hash(self.coeffs)
 
     def __add__(self, other) -> "TPoly":

@@ -5,30 +5,26 @@ Model matrices arrive as the three exact diagonals built by ``model``,
 which :meth:`TridiagonalReal.from_exact` rounds to doubles.  They are
 asymmetric but have positive subdiagonal*superdiagonal products, so a
 diagonal similarity maps them to symmetric form with the same spectrum,
-which is where the reality of the spectrum comes from.  Eigenvalues come
-from one Sturm bisection of that symmetric form shared by the eigenvalues
-asked for (as LAPACK ``dstebz``), eigenvectors from one twisted
-factorization each.  A spectrum takes all eigenvalues; a wavefunction
-bisects only the one of its state.
+which is where the reality of the spectrum comes from.  Each eigenvalue
+comes from its own Sturm bisection of that symmetric form, eigenvectors
+from one twisted factorization each.  A spectrum takes all eigenvalues;
+a wavefunction bisects only the one of its state.
 
-For the whole spectrum, the bisection takes few Sturm counts: a
+For the whole spectrum, the bisections take few Sturm counts: a
 root-free QL iteration (EISPACK ``tqlrat``) first estimates every
-eigenvalue.  A midpoint of a bracket that holds several eigenvalues
-takes the number of estimates below it as its count when it is far
-from every estimate.  A bracket that holds one eigenvalue descends
-toward its estimate without counting, and only the two ends of the
-final bracket it lands in are counted; when they show the eigenvalue
-beyond that bracket, the target moves past it and the search gallops.
-If a real count contradicts the estimates, the plain descent runs
-instead.  Either way the eigenvalues are bit for bit those of the plain
-descent (see :func:`bisection_eigenvalues`).
+eigenvalue, and the search for each one descends toward its estimate
+without counting.  Only the two ends of the final bracket it lands in
+are counted; they either certify that bracket as the one the plain
+bisection ends in, or show the eigenvalue beyond it, and the search
+gallops on.  If the counts taken are not monotone, the plain bisections
+run instead.  Either way the eigenvalues are bit for bit those of the
+plain bisection (see :func:`bisection_eigenvalues`).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
 
 from .model import (
     ModelParams,
@@ -158,42 +154,20 @@ def bisection_eigenvalues(
     ulps of its magnitude).  Raises ValueError unless 0 <= first < last
     <= n.
 
-    Sturm counts make every bracket certified: the returned k-th value is
-    within the final bracket containing exactly the k-th eigenvalue.
+    Each eigenvalue has its own bisection from the Gershgorin bracket
+    (glo, ghi] (:func:`_single`), so a range is bit for bit the slice of
+    the whole spectrum.  One index at n = 200 takes about 54 counts.  For
+    the whole spectrum, root-free QL estimates (:func:`_ql_eigenvalues`)
+    steer each search and spare its counts (:func:`_steered`).
 
-    The descent is shared by the eigenvalues asked for and follows only
-    the brackets that hold one of them, so a range is bit for bit the
-    slice of the whole spectrum (as LAPACK ``dstebz`` with RANGE='I').  A
-    range short of the whole spectrum skips the O(n^2) QL estimates below
-    and computes the count of every midpoint; a bracket that holds one
-    eigenvalue keeps one half at every step and is followed in a flat
-    loop.  One index at n = 200 takes about 54 counts.
-
-    For the whole spectrum, the descent is guided by QL estimates of the
-    eigenvalues (:func:`_ql_eigenvalues`).  In a bracket that holds
-    several eigenvalues, a midpoint x farther than delta = 64 eps
-    max(|glo|, |ghi|) from every estimate takes the number of estimates
-    below it as its count, and any other midpoint a real count that must
-    lie in [#estimates < x - delta, #estimates <= x + delta].  A bracket
-    that holds the one eigenvalue c descends toward estimate c without
-    counting (:func:`_steered`).  Only the ends of the final bracket it
-    lands in are counted, and while they show the eigenvalue beyond that
-    bracket the target gallops past it, until a final bracket has real
-    counts c and c+1 at its ends.  A final bracket that holds several
-    eigenvalues gets a real count at each end whose count was predicted.
-
-    Certification: the count c(x) is monotone in x in IEEE arithmetic
-    (Kahan 1966; Demmel, Dhillon & Ren 1995).  Every bracket is a node of
-    the plain descent's tree, whose final brackets split (glo, ghi], so
-    for each index k exactly one final bracket has a count <= k at its
-    lower end and > k at its upper end: the one where the plain descent
-    leaves eigenvalue k.  Every final bracket returned here has real
-    counts at its ends equal to the first and one past the last index it
-    holds, and these index ranges split 0..n-1, so every value is bit for
-    bit that of the plain descent.  When a real count contradicts the
-    predicted counts or the window above, QL does not converge, or an
-    estimate is not finite, the plain descent, which computes every
-    count, runs instead.
+    Certification: the Sturm count is monotone in x in IEEE arithmetic
+    (Kahan 1966; Demmel, Dhillon & Ren 1995).  Take a final bracket
+    (lo, hi] of the bisection tree with count(lo) <= c < count(hi).  Every
+    midpoint m above it has count(m) > c and every one below it count(m)
+    <= c, so the plain bisection of eigenvalue c ends in this bracket, and
+    a steered value accepted on these two counts is bit for bit the plain
+    one.  When the counts taken are not monotone, QL does not converge or
+    an estimate is not finite, the plain bisections run instead.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be finite and positive")
@@ -224,80 +198,13 @@ def bisection_eigenvalues(
     if _sturm_count(diag, off_sq, ghi, pivmin) != n:
         raise RuntimeError("eigenvalue count failed at the upper bound")
 
-    if last - first < n:
-        return _descent(diag, off_sq, pivmin, glo, ghi, tol, None, first, last)
-    estimates = _ql_eigenvalues(diag, off_sq)
-    if estimates is not None and all(map(math.isfinite, estimates)):
-        values = _descent(diag, off_sq, pivmin, glo, ghi, tol, estimates)
-        if values is not None:
-            return values
-    return _descent(diag, off_sq, pivmin, glo, ghi, tol)
-
-
-def _descent(diag, off_sq, pivmin, glo, ghi, tol, estimates=None,
-             first=0, last=None):
-    """The bisection shared by eigenvalues first..last-1 (default all),
-    from the bracket (glo, ghi].
-
-    Without estimates every count is computed.  With sorted estimates,
-    counts far from them are predicted, a bracket that holds one
-    eigenvalue is steered to its estimate (:func:`_steered`), and None is
-    returned when a real count contradicts the estimates (see
-    :func:`bisection_eigenvalues`).
-    """
-    n = len(diag)
-    if last is None:
-        last = n
-    delta = 64.0 * _EPS * max(abs(glo), abs(ghi))
-    # one descent shared by the eigenvalues: bracket (lo, hi] holds indices
-    # count(lo) .. count(hi)-1; clamping a count into that range splits them
-    # as one bisection per index would, so the values are the same, and a
-    # bracket whose indices miss first..last-1 can be dropped.  Each end
-    # carries a flag telling whether its count was predicted.
-    values: list[float] = []
-    stack = [(glo, 0, False, ghi, n, False, 0)]
-    while stack:
-        lo, count_lo, guess_lo, hi, count_hi, guess_hi, depth = stack.pop()
-        if count_hi - count_lo == 1:
-            if estimates is None:
-                value = _single(diag, off_sq, pivmin, tol, lo, count_lo, hi, depth)
-            else:
-                value = _steered(diag, off_sq, pivmin, tol, estimates[count_lo],
-                                 lo, count_lo, guess_lo, hi, guess_hi, depth)
-                if value is None:
-                    return None
-            values.append(value)
-            continue
-        if not _splits(lo, hi, depth, tol):  # a final bracket
-            if guess_lo and _sturm_count(diag, off_sq, lo, pivmin) != count_lo:
-                return None
-            if guess_hi and _sturm_count(diag, off_sq, hi, pivmin) != count_hi:
-                return None
-            values.extend([0.5 * lo + 0.5 * hi]
-                          * (min(count_hi, last) - max(count_lo, first)))
-            continue
-        mid = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
-        guess = False
-        if estimates is None:
-            count = _sturm_count(diag, off_sq, mid, pivmin)
-        else:
-            below = bisect_left(estimates, mid - delta)
-            within = bisect_right(estimates, mid + delta)
-            if below == within:
-                count, guess = below, True
-            else:
-                count = _sturm_count(diag, off_sq, mid, pivmin)
-                if not below <= count <= within:
-                    return None
-        if count < count_lo:
-            count = count_lo
-        elif count > count_hi:
-            count = count_hi
-        if count < count_hi and count < last:
-            stack.append((mid, count, guess, hi, count_hi, guess_hi, depth + 1))
-        if count > count_lo and count > first:
-            stack.append((lo, count_lo, guess_lo, mid, count, guess, depth + 1))
-    return values
+    if last - first == n:
+        estimates = _ql_eigenvalues(diag, off_sq)
+        if estimates is not None and all(map(math.isfinite, estimates)):
+            values = _steered(diag, off_sq, pivmin, tol, glo, ghi, estimates)
+            if values is not None:
+                return values
+    return _plain(diag, off_sq, pivmin, tol, glo, ghi, first, last)
 
 
 def _splits(lo, hi, depth, tol) -> bool:
@@ -305,13 +212,21 @@ def _splits(lo, hi, depth, tol) -> bool:
     return depth < 300 and hi - lo > tol + 2.0 * _EPS * max(abs(lo), abs(hi))
 
 
-def _single(diag, off_sq, pivmin, tol, lo, count_lo, hi, depth) -> float:
-    """The value of the one eigenvalue in (lo, hi], counting every
-    midpoint; a step keeps one half, so the bracket is followed in a flat
-    loop rather than through the stack."""
+def _plain(diag, off_sq, pivmin, tol, glo, ghi, first, last) -> list[float]:
+    """Eigenvalues first..last-1, each by its own plain bisection."""
+    return [_single(diag, off_sq, pivmin, tol, glo, ghi, c)
+            for c in range(first, last)]
+
+
+def _single(diag, off_sq, pivmin, tol, lo, hi, c) -> float:
+    """Eigenvalue c by plain bisection of the root bracket (lo, hi]: a
+    step counts the eigenvalues below the midpoint and keeps the upper
+    half when there are at most c of them, else the lower half, until
+    the bracket no longer splits; the value is its midpoint."""
+    depth = 0
     while _splits(lo, hi, depth, tol):
-        mid = 0.5 * lo + 0.5 * hi
-        if _sturm_count(diag, off_sq, mid, pivmin) <= count_lo:
+        mid = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
+        if _sturm_count(diag, off_sq, mid, pivmin) <= c:
             lo = mid
         else:
             hi = mid
@@ -319,71 +234,67 @@ def _single(diag, off_sq, pivmin, tol, lo, count_lo, hi, depth) -> float:
     return 0.5 * lo + 0.5 * hi
 
 
-def _steered(diag, off_sq, pivmin, tol, target, lo, c, guess_lo, hi,
-             guess_hi, depth) -> float | None:
-    """The value of eigenvalue c, the only one in the bracket (lo, hi],
-    steered to its estimate target; None when a real count contradicts
-    the count c at lo or c+1 at hi (predicted if guess_lo, guess_hi).
-
-    A step bisects as the plain descent does but keeps the half that
-    holds target, and takes no count.  Only the ends of the final bracket
-    are counted (each point once): counts c and c+1 there make it the
-    plain descent's final bracket of eigenvalue c.  When they show the
-    eigenvalue beyond it, target moves past it by a step that starts at
-    the final width and doubles on each miss; once there are misses on
-    both sides, or a step would pass the nearest counted end, target
-    halves the gap between the nearest counted ends instead.  Target
-    stays at or above the counted end below the eigenvalue and strictly
-    below the one above it, so each miss narrows that gap; the descent
-    resumes from the deepest bracket passed that holds target.
+def _steered(diag, off_sq, pivmin, tol, glo, ghi, estimates) -> list[float] | None:
+    """All eigenvalues, the bisection of each index c steered to estimate
+    c: a step keeps the half that holds the target and takes no count,
+    and only the ends of the final bracket are counted, each point once
+    for all indices.  count(lo) <= c < count(hi) accepts it, even when it
+    holds several eigenvalues.  Otherwise the target moves past it by a
+    step that starts at the final width and doubles on each miss, or,
+    once there are misses on both sides or a step would pass the nearest
+    counted end, halves the gap between the nearest counted ends; the
+    descent resumes from the deepest bracket passed that holds the
+    target.  Those ends, left and right, are ends of final brackets with
+    count(left) <= c < count(right), so each miss moves one of them past
+    a final bracket and every search ends.  None unless there is one
+    estimate per index and the counts taken are monotone.
     """
-    counted = {}  # point -> real count
-    if not guess_lo:
-        counted[lo] = c
-    if not guess_hi:
-        counted[hi] = c + 1
-    floor, ceiling = lo, hi
-    left, right = lo, hi  # the eigenvalue lies in [left, right)
-    t = min(max(target, lo), hi)
-    step = 0.0
-    path = []  # (lo, hi, depth) of the brackets passed
-    while True:
-        # steering keeps lo <= t < hi (t == hi only at the entry)
-        while _splits(lo, hi, depth, tol):
-            path.append((lo, hi, depth))
-            mid = 0.5 * lo + 0.5 * hi
-            if mid <= t:
-                lo = mid
+    n = len(diag)
+    if len(estimates) != n:
+        return None
+    counted = {glo: 0, ghi: n}  # point -> real count
+
+    def count(x):
+        if x not in counted:
+            counted[x] = _sturm_count(diag, off_sq, x, pivmin)
+        return counted[x]
+
+    values = []
+    for c, target in enumerate(estimates):
+        lo, hi, depth = glo, ghi, 0
+        left, right = glo, ghi  # count(left) <= c < count(right)
+        t = min(max(target, glo), ghi)
+        step = 0.0
+        path = []  # (lo, hi, depth) of the brackets passed
+        while True:
+            # steering keeps lo <= t < hi (t == hi only at the entry)
+            while _splits(lo, hi, depth, tol):
+                path.append((lo, hi, depth))
+                mid = 0.5 * lo + 0.5 * hi
+                if mid <= t:
+                    lo = mid
+                else:
+                    hi = mid
+                depth += 1
+            if count(lo) > c:
+                right = lo
+            elif count(hi) <= c:
+                left = hi
             else:
-                hi = mid
-            depth += 1
-        if lo not in counted:
-            counted[lo] = _sturm_count(diag, off_sq, lo, pivmin)
-        below = above = counted[lo]
-        if below == c:  # else the lower end alone tells a miss below
-            if hi not in counted:
-                counted[hi] = _sturm_count(diag, off_sq, hi, pivmin)
-            above = counted[hi]
-        if below == c and above == c + 1:
-            return 0.5 * lo + 0.5 * hi
-        # a miss narrows [left, right) and must stay inside the entry
-        # bracket; anything else contradicts monotone counts
-        if below == above == c + 1 and left < lo:
-            right = lo
-        elif below == above == c and hi < right:
-            left = hi
-        else:
-            return None
-        step = 2.0 * step or hi - lo
-        # gallop down while every miss was below, up while every one was above
-        t = right - step if left == floor else left + step
-        if (left != floor and right != ceiling) or not left <= t < right:
-            t = 0.5 * left + 0.5 * right
-            if t == right:  # left and right are adjacent doubles
-                t = left
-        while not path[-1][0] <= t < path[-1][1]:
-            path.pop()
-        lo, hi, depth = path.pop()
+                break
+            step = 2.0 * step or hi - lo
+            # gallop down while every miss was below, up while every one was above
+            t = right - step if left == glo else left + step
+            if (left != glo and right != ghi) or not left <= t < right:
+                t = 0.5 * left + 0.5 * right
+                if t == right:  # left and right are adjacent doubles
+                    t = left
+            while not path[-1][0] <= t < path[-1][1]:
+                path.pop()
+            lo, hi, depth = path.pop()
+        values.append(0.5 * lo + 0.5 * hi)
+    counts = [counted[x] for x in sorted(counted)]
+    return values if counts == sorted(counts) else None
 
 
 def _ql_eigenvalues(diag, off_sq) -> list[float] | None:

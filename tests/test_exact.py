@@ -100,6 +100,16 @@ def test_scalar_operations():
         p / 0
 
 
+@pytest.mark.parametrize("scalar", [0, 3, -7, Fraction(1, 2), Fraction(-5, 3)])
+def test_constants_hash_as_the_scalars_they_equal(scalar):
+    # equal objects must hash equal, or sets and dicts tell them apart
+    constant = TPoly.constant(scalar)
+    assert constant == scalar
+    assert hash(constant) == hash(scalar)
+    assert scalar in {constant} and constant in {scalar}
+    assert TPoly((scalar, 1)) not in {constant}
+
+
 def test_evaluation_is_ring_homomorphism():
     rng = random.Random(99)
 

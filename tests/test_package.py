@@ -33,7 +33,8 @@ def test_exports_are_the_defining_modules_objects():
 def test_names_the_tests_patch_exist():
     # rspt's own binding of kac_involution is patched by the series tests
     assert rspt.kac_involution is kac.kac_involution
-    assert callable(oracle._descent)
+    assert callable(oracle._steered)
+    assert callable(oracle._plain)
     assert callable(oracle._ql_eigenvalues)
 
 
