@@ -420,9 +420,11 @@ def inverse_iteration(m: TridiagonalReal, eigenvalue: float) -> list[float]:
     scale = math.sqrt(sum(v * v for v in vec))
     vec = [v / scale for v in vec]
 
-    residual = math.sqrt(
-        sum((a - eigenvalue * v) ** 2 for a, v in zip(m.apply(vec), vec))
-    )
+    terms = [a - eigenvalue * v for a, v in zip(m.apply(vec), vec)]
+    # squared in units of a power of two near the largest term, so no square
+    # overflows; the scaling is exact in binary
+    unit = 2.0 ** (math.frexp(max(map(abs, terms)))[1] - 1)
+    residual = math.sqrt(sum((r / unit) ** 2 for r in terms)) * unit
     if not residual <= 1e-10 * max(m.inf_norm(), 1.0):
         raise RuntimeError(
             f"no eigenvector for {eigenvalue!r}: residual {residual!r}")

@@ -225,6 +225,26 @@ def test_pmatrix_trivial():
     assert doc["exact"]["Z"] == ["0"]
 
 
+def test_pmatrix_checks_fail_on_a_wrong_entry(monkeypatch, capsys):
+    from qes_sextic import cli
+    from qes_sextic.exact import ExactMatrix
+    from qes_sextic.kac import kac_involution
+
+    def off_by_one(n):
+        dec = kac_involution(n)
+        rows = [list(row) for row in dec.m.rows]
+        rows[1][2] += 1
+        return dec._replace(m=ExactMatrix(rows))
+
+    monkeypatch.setattr(cli, "kac_involution", off_by_one)
+    assert cli.main(["pmatrix", "-N", "4"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == ["involution", "eigencolumns"]
+    for check in checks:
+        assert check["pass"] is False
+        assert int(check["residual"]) > 0
+
+
 def test_wavefunction_sampling():
     out = run_cli("wavefunction", "-N", "2", "-k", "0", "--beta", "1",
                   "--gamma", "1", "-D", "3", "--state", "0",
@@ -350,6 +370,30 @@ def test_validate_dimensions_equal_in_float64_is_one_line_error():
 def test_wavefunction_overflow_is_one_line_error(args):
     out = run_cli("wavefunction", *args, check=False)
     assert_one_line_error(out, ("psi", "float64"))
+
+
+@pytest.mark.parametrize("args", [
+    ("-N", "2", "-k", "5", "--gamma", "1e5", "-D", "1e300", "--state", "0"),
+    ("-N", "20", "-k", "2", "--gamma", "3/7", "-D", "1e300", "--state", "19"),
+    ("-N", "3", "-k", "30", "--beta", "1e300", "--gamma", "1e-5", "-D", "1000",
+     "--state", "1"),
+])
+def test_wavefunction_residual_near_float64_limit(args):
+    # the eigenvector's residual terms are past sqrt(float64 max)
+    out = run_cli("wavefunction", *args, check=False)
+    assert "Traceback" not in out.stderr
+    if out.returncode == 0:
+        psi = [float(row.split(",")[1]) for row in out.stdout.splitlines()[1:]]
+        assert len(psi) == 64 and all(math.isfinite(v) for v in psi)
+    else:
+        assert_one_line_error(out, ())
+
+
+def test_validate_error_beyond_float64_is_one_line_error():
+    # the relative error at D=1e-300 is 6e295 / 5e-14
+    out = run_cli("validate", "-N", "4", "-k", "0", "--beta", "1e-5", "-K", "2",
+                  "-D", "1e-300,100,1e20", check=False)
+    assert_one_line_error(out, ("D=1/1000", "float64"))
 
 
 # the eigenvector probes of the benchmark's oracle-large workload, as
