@@ -449,11 +449,12 @@ def cmd_wavefunction(args) -> int:
     if args.samples < 1:
         raise ValueError("samples must be positive")
     wf, _energy = radial_wavefunction(params, args.dim, args.state, args.tol)
-    rows = []
-    for i in range(args.samples):
-        r = args.rmax * (i + 1) / args.samples
-        rows.append((repr(r), repr(wf.value(r))))
-    _emit_csv(["r", "psi"], rows)
+    radii = [args.rmax * (i + 1) / args.samples for i in range(args.samples)]
+    psi = [wf.value(r) for r in radii]
+    if not any(psi):
+        raise ValueError(f"psi of state {args.state} underflows to 0 at every "
+                         "sample: below the float64 range")
+    _emit_csv(["r", "psi"], [(repr(r), repr(v)) for r, v in zip(radii, psi)])
     return 0
 
 

@@ -7,9 +7,13 @@ polynomial in the dimensionless coupling t with rational coefficients
 :class:`TPoly` entries (degree 0 for integer and rational matrices),
 holds the recursion's results W, the Kac matrices and the exact checks.
 
-No floating point enters these types: constructors reject ``float``
-outright, which is what makes the no-rounding-error guarantee checkable
-rather than aspirational.
+No floating point enters these types.  Validation happens where values
+enter the exact layer: the public constructors, ``TPoly.constant`` and
+every scalar operand of the arithmetic go through :func:`as_rational`,
+which rejects ``float`` outright.  That is what makes the
+no-rounding-error guarantee checkable rather than aspirational.  Results
+of ``TPoly`` arithmetic are built from ``Fraction`` coefficients the
+operation itself computed, so they are not checked again.
 
 Serialization: a rational is the string ``"num/den"`` (just ``"num"`` when
 the denominator is 1, i.e. exactly ``str(Fraction)``); a polynomial is the
@@ -41,6 +45,9 @@ class TPoly:
     Coefficients are stored lowest power first with trailing zeros
     stripped; the zero polynomial stores an empty tuple.  Instances are
     immutable and hashable.
+
+    ``TPoly(coeffs)`` validates every coefficient; the arithmetic builds
+    its results through :meth:`_of`, which trusts them.
     """
 
     __slots__ = ("coeffs",)
@@ -52,6 +59,16 @@ class TPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _of(cls, cs: list[Fraction]) -> "TPoly":
+        """A computed result: ``cs`` holds Fractions only; trailing zeros
+        are stripped in place."""
+        while cs and not cs[-1]:
+            cs.pop()
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", tuple(cs))
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("TPoly is immutable")
@@ -107,35 +124,39 @@ class TPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return TPoly(out)
+        return TPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TPoly":
-        return TPoly(tuple(-c for c in self.coeffs))
+        return TPoly._of([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "TPoly":
-        return self + (-_as_tpoly(other))
+        a, b = self.coeffs, _as_tpoly(other).coeffs
+        out = list(a) + [-c for c in b[len(a):]]
+        for i, c in enumerate(b[:len(a)]):
+            out[i] -= c
+        return TPoly._of(out)
 
     def __rsub__(self, other) -> "TPoly":
-        return _as_tpoly(other) + (-self)
+        return _as_tpoly(other) - self
 
     def __mul__(self, other) -> "TPoly":
         if isinstance(other, (int, Fraction)):
-            c = as_rational(other)
-            return TPoly(tuple(c * a for a in self.coeffs))
+            # Fraction * int stays a Fraction: no coercion needed
+            return TPoly._of([a * other for a in self.coeffs])
         if not isinstance(other, TPoly):
             return NotImplemented
         if self.is_zero or other.is_zero:
-            return TPoly()
+            return TPoly._of([])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 if b:
                     out[i + j] += a * b
-        return TPoly(out)
+        return TPoly._of(out)
 
     __rmul__ = __mul__
 

@@ -372,6 +372,13 @@ def test_wavefunction_overflow_is_one_line_error(args):
     assert_one_line_error(out, ("psi", "float64"))
 
 
+def test_wavefunction_underflow_everywhere_is_one_line_error():
+    # beta=1e300 puts the state near r=1e-150: exp underflows at every sample
+    out = run_cli("wavefunction", "-N", "3", "-k", "30", "--beta", "1e300",
+                  "--gamma", "1e-5", "-D", "1000", "--state", "1", check=False)
+    assert_one_line_error(out, ("state 1", "float64"))
+
+
 @pytest.mark.parametrize("args", [
     ("-N", "2", "-k", "5", "--gamma", "1e5", "-D", "1e300", "--state", "0"),
     ("-N", "20", "-k", "2", "--gamma", "3/7", "-D", "1e300", "--state", "19"),

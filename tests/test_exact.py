@@ -67,6 +67,14 @@ def test_floats_rejected():
         TPoly((1.0,))
     with pytest.raises(TypeError):
         ExactMatrix([[0.25]])
+    # arithmetic validates its scalar operands too
+    p = TPoly((1, Fraction(1, 3)))
+    for operation in (
+        lambda: p + 0.5, lambda: 0.5 + p, lambda: p - 0.5, lambda: 0.5 - p,
+        lambda: p * 0.5, lambda: 0.5 * p, lambda: p / 0.5,
+    ):
+        with pytest.raises(TypeError):
+            operation()
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +116,50 @@ def test_constants_hash_as_the_scalars_they_equal(scalar):
     assert hash(constant) == hash(scalar)
     assert scalar in {constant} and constant in {scalar}
     assert TPoly((scalar, 1)) not in {constant}
+
+
+def test_arithmetic_results_are_canonical():
+    # results skip validation, so they must come out exactly as the
+    # validating constructor would build them
+    rng = random.Random(1717)
+
+    def rand_coeff():
+        if rng.random() < 0.2:
+            return Fraction(0)
+        return Fraction(rng.randint(-(10**40), 10**40), rng.randint(1, 10**40))
+
+    def rand_poly():
+        return TPoly([rand_coeff() for _ in range(rng.randint(0, 7))])
+
+    def rand_scalar():
+        if rng.random() < 0.5:
+            return rng.choice((0, 1, -1, rng.randint(-(10**30), 10**30)))
+        return rng.choice((Fraction(0), rand_coeff()))
+
+    for _ in range(300):
+        p, q = rand_poly(), rand_poly()
+        if p.coeffs and rng.random() < 0.3:
+            # q shares p's top coefficients, so p - q cancels its top terms
+            cut = rng.randint(0, len(p.coeffs) - 1)
+            q = TPoly([rand_coeff() for _ in range(cut)] + list(p.coeffs[cut:]))
+        c = rand_scalar()
+        x = Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+        px, qx = p.evaluate(x), q.evaluate(x)
+        results = [
+            (p + q, px + qx), (p - q, px - qx), (q - p, qx - px),
+            (p + (-q), px - qx), (-p, -px), (p * q, px * qx),
+            (p * (-p), -px * px), (p - p, 0), (p + c, px + c), (c + p, c + px),
+            (p - c, px - c), (c - p, c - px), (p * c, px * c), (c * p, c * px),
+        ]
+        if c:
+            results.append((p / c, px / c))
+        for result, value in results:
+            assert result.evaluate(x) == value
+            assert type(result) is TPoly
+            assert result == TPoly(result.coeffs)
+            assert hash(result) == hash(TPoly(result.coeffs))
+            assert all(type(a) is Fraction for a in result.coeffs)
+            assert not result.coeffs or result.coeffs[-1] != 0
 
 
 def test_evaluation_is_ring_homomorphism():
