@@ -281,13 +281,7 @@ class ExactMatrix:
         )
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._require_same_size(other)
-        return ExactMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        return self + (-other)
 
     def __neg__(self) -> "ExactMatrix":
         return ExactMatrix([[-e for e in row] for row in self.rows])

@@ -476,11 +476,9 @@ def truncated_spectrum(
     with positive off-diagonal products contribute.
     """
     matrix = TridiagonalReal.from_exact(general_matrix(n_trunc, params, dim))
-    values: list[float] = []
-    for block in _irreducible_blocks(matrix):
-        if all(lo * up > 0.0 for lo, up in zip(block.lower, block.upper)):
-            values.extend(bisection_eigenvalues(*symmetrize(block), tol))
-    return sorted(values)
+    blocks = [b for b in _irreducible_blocks(matrix)
+              if all(lo * up > 0.0 for lo, up in zip(b.lower, b.upper))]
+    return sorted(v for block in blocks for v in tridiagonal_spectrum(block, tol))
 
 
 def radial_wavefunction(

@@ -44,11 +44,6 @@ class SeriesResult(NamedTuple):
     eps: tuple[tuple[TPoly, ...], ...]
     w: tuple[ExactMatrix, ...]
 
-    def w_order(self, order: int) -> ExactMatrix:
-        if not 1 <= order <= self.max_order:
-            raise IndexError(f"no correction matrix of order {order}")
-        return self.w[order - 1]
-
 
 def unperturbed_levels(n: int) -> tuple[int, ...]:
     """Zeroth-order dimensionless levels, ascending: 2j - (n-1)."""
@@ -140,9 +135,7 @@ def order_residual(
     return residual
 
 
-def first_order_constraints(
-    result: SeriesResult, w1: ExactMatrix | None = None
-) -> tuple[TPoly, TPoly]:
+def first_order_constraints(result: SeriesResult) -> tuple[TPoly, TPoly]:
     """Gauge-invariant first-order constraints for the two-state s-wave
     problem (n=2, k=0).
 
@@ -157,10 +150,8 @@ def first_order_constraints(
     """
     if result.n != 2 or result.k != 0:
         raise ValueError("constraint check is defined for n=2, k=0 only")
-    if w1 is None:
-        w1 = result.w_order(1)
     m_mat = kac_involution(2).m
-    psi = -(m_mat @ w1)
+    psi = -(m_mat @ result.w[0])
     t = TPoly.t()
     residual_minus = psi[0, 0] - psi[1, 0] + t
     residual_plus = psi[0, 1] + psi[1, 1] - t

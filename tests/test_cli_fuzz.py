@@ -30,6 +30,15 @@ dims = st.one_of(
 )
 dim_lists = st.lists(dims, min_size=1, max_size=4, unique=True).map(",".join)
 formats = st.sampled_from(["json", "csv"])
+# float options, from the smallest subnormal double up to 1e300
+TOLS = ["5e-324", "1e-300", "1e-12", "0.5", "1e300"]
+RMAXES = ["1e-300", "1e-5", "3", "1e150", "1e300"]
+
+
+def optional(draw, name, values):
+    """["--name=value"] for a drawn value, or [] to keep the default."""
+    value = draw(st.none() | st.sampled_from(values))
+    return [] if value is None else [f"--{name}={value}"]
 
 
 @st.composite
@@ -49,15 +58,19 @@ def argvs(draw):
             argv.append(f"--general={n + draw(st.integers(-1, 10))}")
         if draw(st.booleans()):
             argv.append("--show-matrix")
+        argv += optional(draw, "tol", TOLS)
     elif command in ("series", "validate"):
         argv += [f"-K={draw(st.integers(0, 8))}", f"--format={draw(formats)}"]
         if command == "validate" or draw(st.booleans()):
             argv.append(f"-D={draw(dim_lists)}")
         if command == "series" and draw(st.booleans()):
             argv.append(f"--t={draw(rationals)}")
+        if command == "validate":
+            argv += optional(draw, "tol", TOLS)
     else:
         argv += [f"-D={draw(dims)}", f"--state={draw(st.integers(-1, n))}",
                  f"--samples={draw(st.integers(0, 64))}"]
+        argv += optional(draw, "tol", TOLS) + optional(draw, "rmax", RMAXES)
     return argv
 
 

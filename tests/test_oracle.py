@@ -253,7 +253,7 @@ def test_predicted_counts_give_the_plain_descent_bit_for_bit(
     assert runs == [(True, False)]  # no fallback
 
 
-def test_predicted_counts_bit_for_bit_on_general_blocks(monkeypatch):
+def test_steered_search_bit_for_bit_on_general_blocks(monkeypatch):
     p = ModelParams(200, 1, Fraction(3, 2), Fraction(1, 2))
     m = TridiagonalReal.from_exact(general_matrix(260, p, 3))
     blocks = [b for b in oracle._irreducible_blocks(m)
@@ -360,7 +360,7 @@ def test_steering_under_perturbed_estimates(n, k, beta, gamma, dim, tol,
     _steered_bit_for_bit(*_model(n, k, beta, gamma, dim), tol, monkeypatch)
 
 
-def test_predicted_counts_stay_within_budget(monkeypatch):
+def test_steered_search_stays_within_budget(monkeypatch):
     # the plain bisections take 43194 counts here, the steered ones 4341
     diag, off = _model(800, 1, 2, 1, 100)
     calls = _count_calls(monkeypatch)
@@ -385,7 +385,7 @@ def test_ql_estimates_at_the_edges(diag, off, monkeypatch):
         _plain_descent(diag, off, 1e-12, monkeypatch))
 
 
-def test_predicted_counts_bit_for_bit_on_random_matrices(monkeypatch):
+def test_steered_search_bit_for_bit_on_random_matrices(monkeypatch):
     # graded and clustered spectra, entries over many decades; in 51 of
     # the 120 cases a final bracket holds repeated values, which the
     # steered search accepts as it is

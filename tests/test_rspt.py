@@ -166,7 +166,7 @@ def test_single_state_series_is_linear():
 def test_correction_matrices_have_zero_diagonal():
     _, res = run(5, 2, 6)
     for order in range(1, 7):
-        w = res.w_order(order)
+        w = res.w[order - 1]
         for i in range(5):
             assert w[i, i].is_zero
 
@@ -211,7 +211,7 @@ def test_degree_and_parity_bound():
                 if (power - order) % 2 != 0:
                     assert c == 0
         if order >= 1:
-            w = res.w_order(order)
+            w = res.w[order - 1]
             for row in w.rows:
                 for entry in row:
                     assert entry.degree <= order
@@ -222,12 +222,30 @@ def test_degree_and_parity_bound():
 
 def test_reflection_symmetry_across_states():
     # states j and n-1-j are exchanged by lam -> -lam, so even orders are
-    # antisymmetric and odd orders symmetric across the spectrum
-    _, res = run(6, 2, 5)
-    for order in range(6):
-        sign = -1 if order % 2 == 0 else 1
-        for j in range(6):
-            assert res.eps[order][5 - j] == res.eps[order][j] * sign
+    # antisymmetric and odd orders symmetric across the spectrum; for odd n
+    # the middle state is its own mirror image, so its even orders vanish
+    cases = [(6, 2, 5)] + [(n, k, 8) for n in (1, 3, 5, 7, 9) for k in range(4)]
+    for n, k, max_order in cases:
+        _, res = run(n, k, max_order)
+        for order in range(max_order + 1):
+            sign = -1 if order % 2 == 0 else 1
+            for j in range(n):
+                assert res.eps[order][n - 1 - j] == res.eps[order][j] * sign
+            if n % 2 == 1 and order % 2 == 0:
+                assert res.eps[order][n // 2].is_zero, (n, k, order)
+
+
+def test_first_two_orders_closed_form():
+    # the paper's headline claim: every state is exactly solvable through
+    # second order, and the levels stay equidistant there
+    t = TPoly.t()
+    for n in range(1, 13):
+        for k in range(5):
+            _, res = run(n, k, 2)
+            for j, eps0 in enumerate(unperturbed_levels(n)):
+                assert res.eps[1][j] == t * (n - 1 + k), (n, k, j)
+                assert res.eps[2][j] == eps0 * (t * t + (n - 2 + 2 * k)) / 2, (
+                    n, k, j)
 
 
 def test_first_order_constraints_hold():
@@ -244,8 +262,8 @@ def test_first_order_constraints_are_gauge_invariant():
         gauge = ExactMatrix.diagonal(
             [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(2)]
         )
-        perturbed = res.w_order(1) + gauge
-        residual_minus, residual_plus = first_order_constraints(res, perturbed)
+        perturbed = res._replace(w=(res.w[0] + gauge,) + res.w[1:])
+        residual_minus, residual_plus = first_order_constraints(perturbed)
         assert residual_minus.is_zero
         assert residual_plus.is_zero
 
@@ -254,7 +272,7 @@ def test_first_order_quantities_vanish_at_zero_coupling():
     _, res = run(2, 0, 1)
     for value in res.eps[1]:
         assert value.evaluate(0) == 0
-    w = res.w_order(1)
+    w = res.w[0]
     for row in w.rows:
         for entry in row:
             assert entry.evaluate(0) == 0
