@@ -5,7 +5,9 @@ arbitrary-precision rational (``fractions.Fraction``) or a dense univariate
 polynomial in the dimensionless coupling t with rational coefficients
 (:class:`TPoly`).  :class:`ExactMatrix`, square and dense with
 :class:`TPoly` entries (degree 0 for integer and rational matrices),
-holds the recursion's results W, the Kac matrices and the exact checks.
+holds the Kac matrices, the exact checks and the correction matrices W
+that ``SeriesResult.w`` builds on access; the recursion itself runs on
+nested lists of :class:`TPoly`.
 
 No floating point enters these types.  Validation happens where values
 enter the exact layer: the public constructors, ``TPoly.constant`` and

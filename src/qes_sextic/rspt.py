@@ -22,11 +22,19 @@ spectrum makes the divisor 2(j - i), a nonzero even integer, so every
 output stays exact.  W^(k)_jj = 0 (intermediate normalization) leaves
 every energy unchanged.  Entries of eps^(k) and W^(k) are polynomials in
 t of degree <= k with the parity of k.
+
+The energies through order K need far fewer rows (the idea behind
+Wigner's 2n+1 rule): eps^(K)_j = R^(K)_jj reads W^(o) of column j only on
+the window |i - j| <= min(o, K - o), and the window is closed, because G1
+reaches one row per order, G2 two rows per two orders, and the sum stays
+on row i.  So the recursion computes only the window, and
+:attr:`SeriesResult.w` fills in the other rows on access.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from .exact import ExactMatrix, Scalar, TPoly
@@ -35,14 +43,28 @@ from .model import ModelParams, PerturbationSplit
 
 
 class SeriesResult(NamedTuple):
-    """Energy corrections eps[order][state] and correction matrices
-    w[order-1] for orders 1..max_order, all exact."""
+    """Energy corrections eps[order][state] for orders 0..max_order and
+    correction matrices W for orders 1..max_order, all exact.
+
+    ``w_window[order-1][i][j]`` holds W^(order)_ij on the rows the
+    recursion computed, |i - j| <= min(order, max_order - order), and zero
+    elsewhere.  ``w`` is derived on access: ``w[order-1]`` is the whole
+    W^(order) as an :class:`ExactMatrix`, its other rows filled in by the
+    recursion's own per-entry step.  Each access runs that completion
+    again, so bind ``w`` once to read several orders.
+    """
 
     n: int
     k: int
     max_order: int
     eps: tuple[tuple[TPoly, ...], ...]
-    w: tuple[ExactMatrix, ...]
+    w_window: tuple[tuple[tuple[TPoly, ...], ...], ...]
+
+    @property
+    def w(self) -> tuple[ExactMatrix, ...]:
+        w = _identity(self.n) + [list(map(list, rows)) for rows in self.w_window]
+        _sweep(self.k, self.eps, w, window=False)
+        return tuple(ExactMatrix(rows) for rows in w[1:])
 
 
 def unperturbed_levels(n: int) -> tuple[int, ...]:
@@ -76,21 +98,30 @@ def _band_product(bands: Bands, x: list, i: int, j: int) -> TPoly:
     )
 
 
-def perturbation_series(split: PerturbationSplit, max_order: int) -> SeriesResult:
-    """Run the recursion through the given order.  Purely rational."""
-    if not isinstance(max_order, int) or max_order < 0:
-        raise ValueError("max_order must be a non-negative integer")
-    n = split.n
-    g1, g2 = perturbation_bands(n, split.k)
-    zero, t = TPoly.zero(), TPoly.t()
-    # eps[k][j] = eps^(k)_j and w[k][i][j] = W^(k)_ij
-    eps = [[TPoly.constant(e) for e in unperturbed_levels(n)]]
-    eps += [[zero] * n for _ in range(max_order)]
-    w = [[[zero] * n for _ in range(n)] for _ in range(max_order + 1)]
+def _identity(n: int) -> list:
+    """[W^(0)] = [I] as nested lists."""
+    zero, one = TPoly.zero(), TPoly.one()
+    return [[[one if i == j else zero for j in range(n)] for i in range(n)]]
+
+
+def _sweep(k: int, eps, w: list, window: bool) -> None:
+    """Fill w[order][i][j] = W^(order)_ij for every state j, order
+    1..len(w)-1 and row i of the band |i - j| <= order, lowest order
+    first: the rows of the energy window if ``window``, else the others.
+    Row i = j lies in the window and sets eps[order][j] instead."""
+    n, max_order = len(w[0]), len(w) - 1
+    g1, g2 = perturbation_bands(n, k)
+    t = TPoly.t()
     for j in range(n):
-        w[0][j][j] = TPoly.one()
         for order in range(1, max_order + 1):
-            for i in range(max(0, j - order), min(n, j + order + 1)):
+            width = min(order, max_order - order)
+            lo, hi = max(0, j - width), min(n, j + width + 1)
+            if window:
+                rows = range(lo, hi)
+            else:
+                rows = chain(range(max(0, j - order), lo),
+                             range(hi, min(n, j + order + 1)))
+            for i in rows:
                 r = t * _band_product(g1, w[order - 1], i, j)
                 if order >= 2:
                     r = r + _band_product(g2, w[order - 2], i, j)
@@ -102,12 +133,24 @@ def perturbation_series(split: PerturbationSplit, max_order: int) -> SeriesResul
                 else:
                     w[order][i][j] = r / (2 * (j - i))
 
+
+def perturbation_series(split: PerturbationSplit, max_order: int) -> SeriesResult:
+    """Run the recursion through the given order.  Purely rational."""
+    if not isinstance(max_order, int) or max_order < 0:
+        raise ValueError("max_order must be a non-negative integer")
+    n = split.n
+    zero = TPoly.zero()
+    # eps[k][j] = eps^(k)_j and w[k][i][j] = W^(k)_ij
+    eps = [[TPoly.constant(e) for e in unperturbed_levels(n)]]
+    eps += [[zero] * n for _ in range(max_order)]
+    w = _identity(n) + [[[zero] * n for _ in range(n)] for _ in range(max_order)]
+    _sweep(split.k, eps, w, window=True)
     return SeriesResult(
         n=n,
         k=split.k,
         max_order=max_order,
         eps=tuple(map(tuple, eps)),
-        w=tuple(ExactMatrix(rows) for rows in w[1:]),
+        w_window=tuple(tuple(map(tuple, rows)) for rows in w[1:]),
     )
 
 

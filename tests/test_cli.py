@@ -202,6 +202,26 @@ def test_validate_small_error_at_large_dimension():
         assert row["rel_error"] <= 1e-12
 
 
+def test_series_and_validate_never_build_the_dense_w(monkeypatch, capsys):
+    from qes_sextic import cli
+    from qes_sextic.exact import ExactMatrix
+
+    argvs = (["series", "-N", "6", "-k", "1", "-K", "10", "-D", "100,1000"],
+             ["validate", "-N", "4", "-K", "6", "-D", "100,1000,10000"])
+    expected = []
+    for argv in argvs:
+        assert cli.main(argv) == 0
+        expected.append(capsys.readouterr().out)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI built a dense ExactMatrix")
+
+    monkeypatch.setattr(ExactMatrix, "__init__", refuse)
+    for argv, out in zip(argvs, expected):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out
+
+
 def test_pmatrix_five_states():
     out = run_cli("pmatrix", "-N", "5")
     doc = json.loads(out.stdout)

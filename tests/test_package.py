@@ -57,7 +57,7 @@ def test_records_keep_keyword_constructors_and_stay_immutable():
     # no assignment to any field
     zero = TPoly.zero()
     for cls, fields in (
-        (rspt.SeriesResult, dict(n=1, k=0, max_order=0, eps=((zero,),), w=())),
+        (rspt.SeriesResult, dict(n=1, k=0, max_order=0, eps=((zero,),), w_window=())),
         (kac.KacDecomposition, dict(n=1, t_matrix=exact.ExactMatrix([[0]]), z=(0,),
                                     m=exact.ExactMatrix([[1]]), scale_pow=0)),
         (PerturbationSplit, dict(h0=((), (zero,), ()), h1=((), (TPoly.t(),), ()),

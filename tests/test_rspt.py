@@ -102,6 +102,20 @@ def test_series_needs_no_kac_conjugation_or_dense_product(monkeypatch):
     assert res.w == expected.w
 
 
+def test_window_covers_orders_clipped_by_max_order():
+    # n >= 2K + 1: every order above K/2 is clipped to K - o rows, not by n
+    split = perturbation_split(ModelParams(13, 1, Fraction(1), Fraction(1)))
+    res = perturbation_series(split, 6)
+    eps, w = dense_series(split, 6)
+    assert res.eps == eps
+    # the window leaves rows for .w to fill in
+    assert res.w != tuple(ExactMatrix(rows) for rows in res.w_window)
+    first = res.w
+    assert first == w
+    assert res.w == first  # completion stores nothing
+    assert res.eps == eps
+
+
 def half_binomial(m: int) -> Fraction:
     """Binomial coefficient C(1/2, m), exactly."""
     out = Fraction(1)
@@ -262,7 +276,9 @@ def test_first_order_constraints_are_gauge_invariant():
         gauge = ExactMatrix.diagonal(
             [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(2)]
         )
-        perturbed = res._replace(w=(res.w[0] + gauge,) + res.w[1:])
+        gauged = (res.w[0] + gauge).rows
+        perturbed = res._replace(w_window=(gauged,) + res.w_window[1:])
+        assert perturbed.w[0] == res.w[0] + gauge
         residual_minus, residual_plus = first_order_constraints(perturbed)
         assert residual_minus.is_zero
         assert residual_plus.is_zero
