@@ -29,6 +29,18 @@ the window |i - j| <= min(o, K - o), and the window is closed, because G1
 reaches one row per order, G2 two rows per two orders, and the sum stays
 on row i.  So the recursion computes only the window, and
 :attr:`SeriesResult.w` fills in the other rows on access.
+
+Half the states suffice.  With R = diag((-1)^i), R h0 R = -h0 (T is off
+the diagonal), R h1 R = h1 and R h2 R = -h2 (U is superdiagonal), so
+H(-lambda) = -R H(lambda) R and state n-1-j is state j at -lambda.  In
+the Kac basis that reads, exactly,
+
+    eps^(k)_{n-1-j} = (-1)^(k+1) eps^(k)_j
+    W^(k)_{n-1-i, n-1-j} = (-1)^k W^(k)_ij
+
+so the recursion runs for the states j <= (n-1)/2 (the middle state of
+odd n included) and one reflection step fills in the other states on the
+rows it computed, for the window and for the completion alike.
 """
 
 from __future__ import annotations
@@ -52,6 +64,11 @@ class SeriesResult(NamedTuple):
     W^(order) as an :class:`ExactMatrix`, its other rows filled in by the
     recursion's own per-entry step.  Each access runs that completion
     again, so bind ``w`` once to read several orders.
+
+    Both are computed for the states j <= (n-1)/2 only; state n-1-j is
+    state j at -lambda, so eps[order][n-1-j] = (-1)^(order+1)
+    eps[order][j] and W^(order)_{n-1-i, n-1-j} = (-1)^order W^(order)_ij
+    fill in the rest exactly.
     """
 
     n: int
@@ -104,24 +121,29 @@ def _identity(n: int) -> list:
     return [[[one if i == j else zero for j in range(n)] for i in range(n)]]
 
 
+def _rows(n: int, j: int, order: int, max_order: int, window: bool):
+    """Rows i of W^(order) column j in the band |i - j| <= order: the
+    energy window |i - j| <= min(order, max_order - order) if ``window``,
+    else the others."""
+    width = min(order, max_order - order)
+    lo, hi = max(0, j - width), min(n, j + width + 1)
+    if window:
+        return range(lo, hi)
+    return chain(range(max(0, j - order), lo), range(hi, min(n, j + order + 1)))
+
+
 def _sweep(k: int, eps, w: list, window: bool) -> None:
     """Fill w[order][i][j] = W^(order)_ij for every state j, order
-    1..len(w)-1 and row i of the band |i - j| <= order, lowest order
-    first: the rows of the energy window if ``window``, else the others.
-    Row i = j lies in the window and sets eps[order][j] instead."""
+    1..len(w)-1 and the :func:`_rows` of column j, lowest order first.
+    Row i = j lies in the window and sets eps[order][j] instead.  The
+    recursion runs for the states j <= (n-1)/2; the reflection fills in
+    the others on the same rows."""
     n, max_order = len(w[0]), len(w) - 1
     g1, g2 = perturbation_bands(n, k)
     t = TPoly.t()
-    for j in range(n):
+    for j in range((n + 1) // 2):
         for order in range(1, max_order + 1):
-            width = min(order, max_order - order)
-            lo, hi = max(0, j - width), min(n, j + width + 1)
-            if window:
-                rows = range(lo, hi)
-            else:
-                rows = chain(range(max(0, j - order), lo),
-                             range(hi, min(n, j + order + 1)))
-            for i in rows:
+            for i in _rows(n, j, order, max_order, window):
                 r = t * _band_product(g1, w[order - 1], i, j)
                 if order >= 2:
                     r = r + _band_product(g2, w[order - 2], i, j)
@@ -132,6 +154,18 @@ def _sweep(k: int, eps, w: list, window: bool) -> None:
                     eps[order][j] = r
                 else:
                     w[order][i][j] = r / (2 * (j - i))
+    # state n-1-j is state j at -lambda: eps^(o) flips sign at even o,
+    # W^(o) at odd o
+    for j in range(n // 2):
+        for order in range(1, max_order + 1):
+            odd = order % 2
+            for i in _rows(n, j, order, max_order, window):
+                if i == j:
+                    e = eps[order][j]
+                    eps[order][n - 1 - j] = e if odd else -e
+                else:
+                    x = w[order][i][j]
+                    w[order][n - 1 - i][n - 1 - j] = -x if odd else x
 
 
 def perturbation_series(split: PerturbationSplit, max_order: int) -> SeriesResult:

@@ -235,18 +235,59 @@ def test_degree_and_parity_bound():
 
 
 def test_reflection_symmetry_across_states():
-    # states j and n-1-j are exchanged by lam -> -lam, so even orders are
-    # antisymmetric and odd orders symmetric across the spectrum; for odd n
-    # the middle state is its own mirror image, so its even orders vanish
-    cases = [(6, 2, 5)] + [(n, k, 8) for n in (1, 3, 5, 7, 9) for k in range(4)]
+    # states j and n-1-j are exchanged by lam -> -lam, so even orders of
+    # eps are antisymmetric and odd orders symmetric across the spectrum,
+    # and W^(o) is (-1)^o times itself reflected through both indices; for
+    # odd n the middle state is its own mirror image, so its even orders
+    # vanish.  Checked on the dense reference, which computes every state.
+    cases = [(6, 2, 5), (8, 1, 6)]
+    cases += [(n, k, 8) for n in (1, 3, 5, 7, 9) for k in range(4)]
     for n, k, max_order in cases:
-        _, res = run(n, k, max_order)
+        split = perturbation_split(ModelParams(n, k, Fraction(1), Fraction(1)))
+        eps, w = dense_series(split, max_order)
         for order in range(max_order + 1):
             sign = -1 if order % 2 == 0 else 1
             for j in range(n):
-                assert res.eps[order][n - 1 - j] == res.eps[order][j] * sign
+                assert eps[order][n - 1 - j] == eps[order][j] * sign
             if n % 2 == 1 and order % 2 == 0:
-                assert res.eps[order][n // 2].is_zero, (n, k, order)
+                assert eps[order][n // 2].is_zero, (n, k, order)
+            if order >= 1:
+                for i in range(n):
+                    for j in range(n):
+                        assert w[order - 1][n - 1 - i, n - 1 - j] == (
+                            w[order - 1][i, j] * -sign), (n, k, order, i, j)
+
+
+def test_series_equals_dense_reference_on_a_grid():
+    # both parities of n, and windows clipped by max_order, whatever the
+    # hypothesis test draws
+    for n in range(1, 10):
+        for k in (0, 3):
+            split = perturbation_split(
+                ModelParams(n, k, Fraction(1), Fraction(1)))
+            for max_order in (0, 1, 2, 5, 8):
+                res = perturbation_series(split, max_order)
+                eps, w = dense_series(split, max_order)
+                assert res.eps == eps, (n, k, max_order)
+                assert res.w == w, (n, k, max_order)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_recursion_runs_only_the_lower_half_of_the_states(n, monkeypatch):
+    # the reflection supplies states above (n-1)/2; the middle state of odd
+    # n is computed
+    columns = set()
+    band_product = rspt._band_product
+
+    def spy(bands, x, i, j):
+        columns.add(j)
+        return band_product(bands, x, i, j)
+
+    monkeypatch.setattr(rspt, "_band_product", spy)
+    _, res = run(n, 1, 6)
+    assert columns == set(range((n + 1) // 2))
+    res.w  # the dense completion runs the same recursion
+    assert columns == set(range((n + 1) // 2))
 
 
 def test_first_two_orders_closed_form():
