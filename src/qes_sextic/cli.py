@@ -314,9 +314,10 @@ def cmd_validate(args) -> int:
     for lower, upper in zip(dims, dims[1:]):
         if lower == upper:
             raise ValueError(f"dimension D={lower} is given more than once")
-        if float(lower) == float(upper):  # one point in the float64 fit
-            raise ValueError(
-                f"dimensions D={lower} and D={upper} are the same float64")
+        # one point in the float64 log-log fit; D <= 0 fails further on
+        if lower > 0 and math.log(float(lower)) == math.log(float(upper)):
+            raise ValueError(f"dimensions D={lower} and D={upper} have the "
+                             "same float64 logarithm")
     # one extra correction order so the partial sum is complete through
     # lambda^K and the first omitted term is O(lambda^(K+1))
     result = perturbation_series(perturbation_split(params), args.order + 1)

@@ -27,8 +27,10 @@ The energies through order K need far fewer rows (the idea behind
 Wigner's 2n+1 rule): eps^(K)_j = R^(K)_jj reads W^(o) of column j only on
 the window |i - j| <= min(o, K - o), and the window is closed, because G1
 reaches one row per order, G2 two rows per two orders, and the sum stays
-on row i.  So the recursion computes only the window, and
-:attr:`SeriesResult.w` fills in the other rows on access.
+on row i.  One row rule serves both results: column j of W^(o) is computed
+on the rows |i - j| <= min(o, H - o).  :func:`perturbation_series` takes
+H = K, the window, and keeps the energies; :attr:`SeriesResult.w` takes
+H = 2K, the whole band |i - j| <= o, and runs again on each access.
 
 Half the states suffice.  With R = diag((-1)^i), R h0 R = -h0 (T is off
 the diagonal), R h1 R = h1 and R h2 R = -h2 (U is superdiagonal), so
@@ -40,13 +42,12 @@ the Kac basis that reads, exactly,
 
 so the recursion runs for the states j <= (n-1)/2 (the middle state of
 odd n included) and one reflection step fills in the other states on the
-rows it computed, for the window and for the completion alike.
+rows it computed.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Callable, NamedTuple
 
 from .exact import ExactMatrix, Scalar, TPoly
@@ -55,32 +56,24 @@ from .model import ModelParams, PerturbationSplit
 
 
 class SeriesResult(NamedTuple):
-    """Energy corrections eps[order][state] for orders 0..max_order and
-    correction matrices W for orders 1..max_order, all exact.
+    """Energy corrections eps[order][state] for orders 0..max_order, exact.
 
-    ``w_window[order-1][i][j]`` holds W^(order)_ij on the rows the
-    recursion computed, |i - j| <= min(order, max_order - order), and zero
-    elsewhere.  ``w`` is derived on access: ``w[order-1]`` is the whole
-    W^(order) as an :class:`ExactMatrix`, its other rows filled in by the
-    recursion's own per-entry step.  Each access runs that completion
-    again, so bind ``w`` once to read several orders.
-
-    Both are computed for the states j <= (n-1)/2 only; state n-1-j is
-    state j at -lambda, so eps[order][n-1-j] = (-1)^(order+1)
-    eps[order][j] and W^(order)_{n-1-i, n-1-j} = (-1)^order W^(order)_ij
-    fill in the rest exactly.
+    ``w`` is derived on access: ``w[order-1]`` is the correction matrix
+    W^(order), orders 1..max_order, as an :class:`ExactMatrix`, from a run
+    of the recursion over the whole band |i - j| <= order.  Each access
+    runs it again, so bind ``w`` once to read several orders.  Both are
+    computed for the states j <= (n-1)/2; the others follow from the
+    exact reflection eps[order][n-1-j] = (-1)^(order+1) eps[order][j].
     """
 
     n: int
     k: int
     max_order: int
     eps: tuple[tuple[TPoly, ...], ...]
-    w_window: tuple[tuple[tuple[TPoly, ...], ...], ...]
 
     @property
     def w(self) -> tuple[ExactMatrix, ...]:
-        w = _identity(self.n) + [list(map(list, rows)) for rows in self.w_window]
-        _sweep(self.k, self.eps, w, window=False)
+        _, w = _recursion(self.n, self.k, self.max_order, 2 * self.max_order)
         return tuple(ExactMatrix(rows) for rows in w[1:])
 
 
@@ -115,35 +108,27 @@ def _band_product(bands: Bands, x: list, i: int, j: int) -> TPoly:
     )
 
 
-def _identity(n: int) -> list:
-    """[W^(0)] = [I] as nested lists."""
+def _recursion(n: int, k: int, max_order: int, horizon: int):
+    """(eps, w) as nested lists, eps[order][j] = eps^(order)_j and
+    w[order][i][j] = W^(order)_ij, orders 0..max_order.  The states
+    j <= (n-1)/2 compute column j of W^(order) on the rows
+    |i - j| <= min(order, horizon - order), the reflection copies them to
+    the other states, and every other entry stays 0."""
     zero, one = TPoly.zero(), TPoly.one()
-    return [[[one if i == j else zero for j in range(n)] for i in range(n)]]
-
-
-def _rows(n: int, j: int, order: int, max_order: int, window: bool):
-    """Rows i of W^(order) column j in the band |i - j| <= order: the
-    energy window |i - j| <= min(order, max_order - order) if ``window``,
-    else the others."""
-    width = min(order, max_order - order)
-    lo, hi = max(0, j - width), min(n, j + width + 1)
-    if window:
-        return range(lo, hi)
-    return chain(range(max(0, j - order), lo), range(hi, min(n, j + order + 1)))
-
-
-def _sweep(k: int, eps, w: list, window: bool) -> None:
-    """Fill w[order][i][j] = W^(order)_ij for every state j, order
-    1..len(w)-1 and the :func:`_rows` of column j, lowest order first.
-    Row i = j lies in the window and sets eps[order][j] instead.  The
-    recursion runs for the states j <= (n-1)/2; the reflection fills in
-    the others on the same rows."""
-    n, max_order = len(w[0]), len(w) - 1
+    eps = [[TPoly.constant(e) for e in unperturbed_levels(n)]]
+    eps += [[zero] * n for _ in range(max_order)]
+    w = [[[one if i == j else zero for j in range(n)] for i in range(n)]]
+    w += [[[zero] * n for _ in range(n)] for _ in range(max_order)]
     g1, g2 = perturbation_bands(n, k)
     t = TPoly.t()
+
+    def rows(j: int, order: int) -> range:
+        width = min(order, horizon - order)
+        return range(max(0, j - width), min(n, j + width + 1))
+
     for j in range((n + 1) // 2):
         for order in range(1, max_order + 1):
-            for i in _rows(n, j, order, max_order, window):
+            for i in rows(j, order):
                 r = t * _band_product(g1, w[order - 1], i, j)
                 if order >= 2:
                     r = r + _band_product(g2, w[order - 2], i, j)
@@ -159,33 +144,23 @@ def _sweep(k: int, eps, w: list, window: bool) -> None:
     for j in range(n // 2):
         for order in range(1, max_order + 1):
             odd = order % 2
-            for i in _rows(n, j, order, max_order, window):
+            for i in rows(j, order):
                 if i == j:
                     e = eps[order][j]
                     eps[order][n - 1 - j] = e if odd else -e
                 else:
                     x = w[order][i][j]
                     w[order][n - 1 - i][n - 1 - j] = -x if odd else x
+    return eps, w
 
 
 def perturbation_series(split: PerturbationSplit, max_order: int) -> SeriesResult:
-    """Run the recursion through the given order.  Purely rational."""
+    """Energies through max_order from the energy window; purely rational."""
     if not isinstance(max_order, int) or max_order < 0:
         raise ValueError("max_order must be a non-negative integer")
-    n = split.n
-    zero = TPoly.zero()
-    # eps[k][j] = eps^(k)_j and w[k][i][j] = W^(k)_ij
-    eps = [[TPoly.constant(e) for e in unperturbed_levels(n)]]
-    eps += [[zero] * n for _ in range(max_order)]
-    w = _identity(n) + [[[zero] * n for _ in range(n)] for _ in range(max_order)]
-    _sweep(split.k, eps, w, window=True)
-    return SeriesResult(
-        n=n,
-        k=split.k,
-        max_order=max_order,
-        eps=tuple(map(tuple, eps)),
-        w_window=tuple(tuple(map(tuple, rows)) for rows in w[1:]),
-    )
+    eps, _ = _recursion(split.n, split.k, max_order, max_order)
+    return SeriesResult(n=split.n, k=split.k, max_order=max_order,
+                        eps=tuple(map(tuple, eps)))
 
 
 def order_residual(

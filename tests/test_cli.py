@@ -382,6 +382,18 @@ def test_validate_dimensions_equal_in_float64_is_one_line_error():
         "D=3 ", "D=30000000000000001/10000000000000000", "same float64"))
 
 
+@pytest.mark.parametrize("args, named", [
+    (("-N", "2", "-K", "0", "-D", "3,3.0000000000000004"),
+     ("D=3 ", "D=7500000000000001/2500000000000000")),
+    (("-N", "3", "-K", "2", "-D", "30,30.000000000000004"),
+     ("D=30 ", "D=7500000000000001/250000000000000")),
+])
+def test_validate_dimensions_with_equal_float64_logs_is_one_line_error(args, named):
+    # distinct float64 values, one float64 logarithm: the same zero division
+    out = run_cli("validate", *args, check=False)
+    assert_one_line_error(out, named + ("same float64",))
+
+
 @pytest.mark.parametrize("args", [
     ("-N", "20", "-D", "1000000", "--state", "19"),
     ("-N", "50", "-D", "100000", "--state", "0"),

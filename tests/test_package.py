@@ -31,8 +31,10 @@ def test_exports_are_the_defining_modules_objects():
 
 
 def test_names_the_tests_patch_exist():
-    # rspt's own binding of kac_involution is patched by the series tests
+    # rspt's own binding of kac_involution is patched by the series tests,
+    # and two of them spy on rspt._band_product
     assert rspt.kac_involution is kac.kac_involution
+    assert callable(rspt._band_product)
     assert callable(oracle._steered)
     assert callable(oracle._plain)
     assert callable(oracle._ql_eigenvalues)
@@ -57,7 +59,7 @@ def test_records_keep_keyword_constructors_and_stay_immutable():
     # no assignment to any field
     zero = TPoly.zero()
     for cls, fields in (
-        (rspt.SeriesResult, dict(n=1, k=0, max_order=0, eps=((zero,),), w_window=())),
+        (rspt.SeriesResult, dict(n=1, k=0, max_order=0, eps=((zero,),))),
         (kac.KacDecomposition, dict(n=1, t_matrix=exact.ExactMatrix([[0]]), z=(0,),
                                     m=exact.ExactMatrix([[1]]), scale_pow=0)),
         (PerturbationSplit, dict(h0=((), (zero,), ()), h1=((), (TPoly.t(),), ()),

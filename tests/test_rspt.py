@@ -102,17 +102,26 @@ def test_series_needs_no_kac_conjugation_or_dense_product(monkeypatch):
     assert res.w == expected.w
 
 
-def test_window_covers_orders_clipped_by_max_order():
+def test_window_covers_orders_clipped_by_max_order(monkeypatch):
     # n >= 2K + 1: every order above K/2 is clipped to K - o rows, not by n
     split = perturbation_split(ModelParams(13, 1, Fraction(1), Fraction(1)))
+    reach = []
+    band_product = rspt._band_product
+
+    def spy(bands, x, i, j):
+        reach.append(abs(i - j))
+        return band_product(bands, x, i, j)
+
+    monkeypatch.setattr(rspt, "_band_product", spy)
     res = perturbation_series(split, 6)
+    assert max(reach) == 3  # the energies' window, min(o, 6 - o)
+    reach.clear()
+    first = res.w
+    assert max(reach) == 6  # the whole band, |i - j| <= o
     eps, w = dense_series(split, 6)
     assert res.eps == eps
-    # the window leaves rows for .w to fill in
-    assert res.w != tuple(ExactMatrix(rows) for rows in res.w_window)
-    first = res.w
     assert first == w
-    assert res.w == first  # completion stores nothing
+    assert res.w == first  # .w stores nothing
     assert res.eps == eps
 
 
@@ -179,8 +188,9 @@ def test_single_state_series_is_linear():
 
 def test_correction_matrices_have_zero_diagonal():
     _, res = run(5, 2, 6)
+    ws = res.w
     for order in range(1, 7):
-        w = res.w[order - 1]
+        w = ws[order - 1]
         for i in range(5):
             assert w[i, i].is_zero
 
@@ -218,6 +228,7 @@ def test_recursion_residual_definition():
 
 def test_degree_and_parity_bound():
     _, res = run(4, 1, 7)
+    ws = res.w
     for order in range(8):
         for value in res.eps[order]:
             assert value.degree <= order
@@ -225,7 +236,7 @@ def test_degree_and_parity_bound():
                 if (power - order) % 2 != 0:
                     assert c == 0
         if order >= 1:
-            w = res.w[order - 1]
+            w = ws[order - 1]
             for row in w.rows:
                 for entry in row:
                     assert entry.degree <= order
@@ -286,7 +297,7 @@ def test_recursion_runs_only_the_lower_half_of_the_states(n, monkeypatch):
     monkeypatch.setattr(rspt, "_band_product", spy)
     _, res = run(n, 1, 6)
     assert columns == set(range((n + 1) // 2))
-    res.w  # the dense completion runs the same recursion
+    res.w  # the whole band runs the same recursion
     assert columns == set(range((n + 1) // 2))
 
 
@@ -310,17 +321,19 @@ def test_first_order_constraints_hold():
     assert residual_plus.is_zero
 
 
-def test_first_order_constraints_are_gauge_invariant():
+def test_first_order_constraints_are_gauge_invariant(monkeypatch):
     rng = random.Random(17)
     _, res = run(2, 0, 2)
+    w = res.w
     for _ in range(10):
         gauge = ExactMatrix.diagonal(
             [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(2)]
         )
-        gauged = (res.w[0] + gauge).rows
-        perturbed = res._replace(w_window=(gauged,) + res.w_window[1:])
-        assert perturbed.w[0] == res.w[0] + gauge
-        residual_minus, residual_plus = first_order_constraints(perturbed)
+        gauged = (w[0] + gauge,) + w[1:]
+        monkeypatch.setattr(rspt.SeriesResult, "w",
+                            property(lambda self, gauged=gauged: gauged))
+        assert res.w[0] == w[0] + gauge
+        residual_minus, residual_plus = first_order_constraints(res)
         assert residual_minus.is_zero
         assert residual_plus.is_zero
 
