@@ -88,8 +88,16 @@ def _add_model_arguments(parser: argparse.ArgumentParser):
                         help="sextic coupling, rational (default 1)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Sends a rejected argument to ``main``'s one-line error instead of
+    printing the usage block and exiting; its subparsers inherit it."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qes-sextic",
         description="Exact 1/sqrt(D) perturbation series for the "
         "quasi-exactly-solvable sextic oscillator, with an independent "
@@ -149,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, ZeroDivisionError, IndexError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

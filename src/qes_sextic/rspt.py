@@ -41,8 +41,7 @@ the Kac basis that reads, exactly,
     W^(k)_{n-1-i, n-1-j} = (-1)^k W^(k)_ij
 
 so the recursion runs for the states j <= (n-1)/2 (the middle state of
-odd n included) and one reflection step fills in the other states on the
-rows it computed.
+odd n included), and each entry it computes writes its mirror at once.
 """
 
 from __future__ import annotations
@@ -112,8 +111,8 @@ def _recursion(n: int, k: int, max_order: int, horizon: int):
     """(eps, w) as nested lists, eps[order][j] = eps^(order)_j and
     w[order][i][j] = W^(order)_ij, orders 0..max_order.  The states
     j <= (n-1)/2 compute column j of W^(order) on the rows
-    |i - j| <= min(order, horizon - order), the reflection copies them to
-    the other states, and every other entry stays 0."""
+    |i - j| <= min(order, horizon - order), and each entry writes its
+    mirror as it is computed; every other entry stays 0."""
     zero, one = TPoly.zero(), TPoly.one()
     eps = [[TPoly.constant(e) for e in unperturbed_levels(n)]]
     eps += [[zero] * n for _ in range(max_order)]
@@ -121,14 +120,13 @@ def _recursion(n: int, k: int, max_order: int, horizon: int):
     w += [[[zero] * n for _ in range(n)] for _ in range(max_order)]
     g1, g2 = perturbation_bands(n, k)
     t = TPoly.t()
-
-    def rows(j: int, order: int) -> range:
-        width = min(order, horizon - order)
-        return range(max(0, j - width), min(n, j + width + 1))
-
     for j in range((n + 1) // 2):
+        # mirror columns n-1-j > (n-1)/2 are never read; the middle state
+        # of odd n is its own mirror
+        mirror = n - 1 - j > j
         for order in range(1, max_order + 1):
-            for i in rows(j, order):
+            width = min(order, horizon - order)
+            for i in range(max(0, j - width), min(n, j + width + 1)):
                 r = t * _band_product(g1, w[order - 1], i, j)
                 if order >= 2:
                     r = r + _band_product(g2, w[order - 2], i, j)
@@ -137,20 +135,12 @@ def _recursion(n: int, k: int, max_order: int, horizon: int):
                         r = r - eps[m][j] * w[order - m][i][j]
                 if i == j:
                     eps[order][j] = r
+                    if mirror:
+                        eps[order][n - 1 - j] = r if order % 2 else -r
                 else:
-                    w[order][i][j] = r / (2 * (j - i))
-    # state n-1-j is state j at -lambda: eps^(o) flips sign at even o,
-    # W^(o) at odd o
-    for j in range(n // 2):
-        for order in range(1, max_order + 1):
-            odd = order % 2
-            for i in rows(j, order):
-                if i == j:
-                    e = eps[order][j]
-                    eps[order][n - 1 - j] = e if odd else -e
-                else:
-                    x = w[order][i][j]
-                    w[order][n - 1 - i][n - 1 - j] = -x if odd else x
+                    x = w[order][i][j] = r / (2 * (j - i))
+                    if mirror:
+                        w[order][n - 1 - i][n - 1 - j] = -x if order % 2 else x
     return eps, w
 
 

@@ -354,6 +354,16 @@ def test_model_beyond_float64_is_one_line_error(args, words):
     assert_one_line_error(run_cli(*args, check=False), words)
 
 
+@pytest.mark.parametrize("args,words", [
+    (("spectrum", "-N", "3", "-D", "10", "--tol", "nan"), ("argument --tol",)),
+    (("spectrum", "-D", "10"), ("required", "-N")),
+    (("series", "-N", "2", "--format", "xml"), ("argument --format", "xml")),
+    (("pmatrix", "-N", "2", "--bogus"), ("unrecognized", "--bogus")),
+])
+def test_parser_rejection_is_one_line_error(args, words):
+    assert_one_line_error(run_cli(*args, check=False), words)
+
+
 def test_spectrum_checks_truncation_size_before_solving(monkeypatch, capsys):
     from qes_sextic import cli, oracle
 

@@ -79,21 +79,17 @@ def _timeout(signum, frame):
 
 
 def run_main(argv):
-    """(exit code, stdout, stderr, whether argparse exited) of one call."""
+    """(exit code, stdout, stderr) of one call."""
     out, err = io.StringIO(), io.StringIO()
-    parser_exit = False
     previous = signal.signal(signal.SIGALRM, _timeout)
     signal.setitimer(signal.ITIMER_REAL, CALL_SECONDS)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse rejects the argv
-                code, parser_exit = exc.code, True
+            code = cli.main(argv)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    return code, out.getvalue(), err.getvalue(), parser_exit
+    return code, out.getvalue(), err.getvalue()
 
 
 def _reject_constant(name):
@@ -116,10 +112,7 @@ def assert_finite_output(stdout):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(argv=argvs())
 def test_cli_contract(argv):
-    code, stdout, stderr, parser_exit = run_main(argv)
-    if parser_exit:
-        assert code == 2 and stdout == ""
-        return
+    code, stdout, stderr = run_main(argv)
     assert code in (0, 1, 2)
     if code == 2:
         assert stdout == ""

@@ -1,0 +1,145 @@
+"""Mutant catalogue: each entry breaks the program in one known way, and the
+tests it names must notice.
+
+    python3 tools/mutants.py
+
+For each entry of ``MUTANTS`` this copies ``src/``, ``tests/`` and
+``pyproject.toml`` into a temporary directory, replaces the entry's old text
+in its file by the new text, and runs ``pytest -x`` on the entry's test
+selection there, after checking once that the unchanged tree passes every
+selection.  It prints KILLED when the selection fails, SURVIVED when it
+passes, and ERROR when pytest cannot run it (a selection that names no
+test), each with the seconds taken.  An entry whose old text does not occur
+exactly once in its file is STALE: a change to that code has to update the
+catalogue.  Exits 1 on any SURVIVED, ERROR or STALE, else 0.
+Standard library only; not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+PYTEST_FAILED = 1  # pytest's exit code when a collected test fails
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str  # must occur exactly once in the file
+    new: str
+    selection: tuple[str, ...]  # pytest arguments, relative to the root
+
+
+RSPT = "src/qes_sextic/rspt.py"
+GRID = "tests/test_rspt.py::test_series_equals_dense_reference_on_a_grid"
+
+MUTANTS = [
+    Mutant("eps mirror sign swapped", RSPT,
+           "eps[order][n - 1 - j] = r if order % 2 else -r",
+           "eps[order][n - 1 - j] = -r if order % 2 else r", (GRID,)),
+    Mutant("W mirror sign swapped", RSPT,
+           "w[order][n - 1 - i][n - 1 - j] = -x if order % 2 else x",
+           "w[order][n - 1 - i][n - 1 - j] = x if order % 2 else -x", (GRID,)),
+    Mutant("middle state of odd n not computed", RSPT,
+           "for j in range((n + 1) // 2):", "for j in range(n // 2):", (GRID,)),
+    Mutant("window one row narrower", RSPT,
+           "width = min(order, horizon - order)",
+           "width = min(order, horizon - order) - 1", (GRID,)),
+    Mutant("W divisor sign flipped", RSPT,
+           "r / (2 * (j - i))", "r / (2 * (i - j))", (GRID,)),
+    Mutant("energies run on the whole band", RSPT,
+           "_recursion(split.n, split.k, max_order, max_order)",
+           "_recursion(split.n, split.k, max_order, 2 * max_order)",
+           ("tests/test_rspt.py::test_window_covers_orders_clipped_by_max_order",)),
+    Mutant("G2 band +2 entry +1", RSPT,
+           "2: lambda i: -(i + 1) * (i + 2) // 2,",
+           "2: lambda i: -(i + 1) * (i + 2) // 2 + 1,",
+           ("tests/test_rspt.py::test_order_identities_hold_in_original_basis",)),
+    Mutant("TPoly._of keeps trailing zeros", "src/qes_sextic/exact.py",
+           "        while cs and not cs[-1]:\n            cs.pop()\n        poly",
+           "        poly", ("tests/test_exact.py",)),
+    Mutant("Sturm count without the pivmin clamp", "src/qes_sextic/oracle.py",
+           "            if q > -pivmin:\n                q = -pivmin\n", "",
+           ("tests/test_oracle.py",)),
+    Mutant("Sturm count step of 2", "src/qes_sextic/oracle.py",
+           "            count += 1\n        q = (d - x)",
+           "            count += 2\n        q = (d - x)",
+           ("tests/test_oracle.py",)),
+    Mutant("Sturm count of the last pivot by < 0", "src/qes_sextic/oracle.py",
+           "    if q < pivmin:\n        count += 1\n    return count",
+           "    if q < 0:\n        count += 1\n    return count",
+           ("tests/test_oracle.py",)),
+    Mutant("TPoly - drops the sign of the longer operand's tail",
+           "src/qes_sextic/exact.py",
+           "out = list(a) + [-c for c in b[len(a):]]",
+           "out = list(a) + list(b[len(a):])", ("tests/test_exact.py",)),
+]
+
+
+def run_tests(selection, patch: tuple[str, str] | None = None):
+    """(pytest exit code, seconds) of the selection on a fresh copy of the
+    tree, with ``patch`` = (file, text) written over that file."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        work = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, work / name, ignore=shutil.ignore_patterns(
+                    "__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(source, work / name)
+        if patch is not None:
+            (work / patch[0]).write_text(patch[1])
+        # the copy's package only, also in the CLI subprocesses the tests start
+        env = dict(os.environ, PYTHONPATH=str(work / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *selection],
+            cwd=work, env=env, stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        return done.returncode, time.perf_counter() - start
+
+
+def verdict(mutant: Mutant) -> tuple[str, float]:
+    text = (ROOT / mutant.file).read_text()
+    if text.count(mutant.old) != 1:
+        return "STALE", 0.0
+    code, seconds = run_tests(
+        mutant.selection, (mutant.file, text.replace(mutant.old, mutant.new)))
+    return {0: "SURVIVED", PYTEST_FAILED: "KILLED"}.get(code, "ERROR"), seconds
+
+
+def main() -> int:
+    start = time.perf_counter()
+    # a kill counts only if the unchanged tree passes the same tests
+    code, seconds = run_tests(dict.fromkeys(
+        arg for m in MUTANTS for arg in m.selection))
+    print(f"{'PASSED' if code == 0 else 'FAILED':8} {seconds:6.1f} s  "
+          "the unchanged tree", flush=True)
+    if code != 0:
+        return 1
+    verdicts = []
+    for mutant in MUTANTS:
+        result, seconds = verdict(mutant)
+        verdicts.append(result)
+        print(f"{result:8} {seconds:6.1f} s  {mutant.name}  ({mutant.file})",
+              flush=True)
+    killed = verdicts.count("KILLED")
+    print(f"{killed} of {len(MUTANTS)} killed in "
+          f"{time.perf_counter() - start:.1f} s")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
