@@ -133,7 +133,7 @@ def _bisection_per_eigenvalue(diag, off, tol):
 
 @pytest.mark.parametrize("noisy", [False, True])
 @pytest.mark.parametrize("n,dim,tol", [(50, 3, 1e-12), (200, 100, 1e-12), (120, 7, 1e-3)])
-def test_shared_bisection_equals_bisection_per_eigenvalue(n, dim, tol, noisy,
+def test_whole_spectrum_equals_bisection_per_eigenvalue(n, dim, tol, noisy,
                                                           monkeypatch):
     if noisy:
         # counts that are not monotone in x, as rounding can make them
@@ -244,7 +244,7 @@ def test_sturm_count_equals_the_reference_kernel(n, k, beta, gamma, dim, tol):
 
 
 @pytest.mark.parametrize("n,k,beta,gamma,dim,tol", MODEL_MATRICES)
-def test_predicted_counts_give_the_plain_descent_bit_for_bit(
+def test_steered_search_gives_the_plain_descent_bit_for_bit(
         n, k, beta, gamma, dim, tol, monkeypatch):
     diag, off = _model(n, k, beta, gamma, dim)
     want = _hex(_plain_descent(diag, off, tol, monkeypatch))
