@@ -150,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="state index by ascending energy (default 0)")
     p.add_argument("--rmax", type=_positive_float, default=3.0)
     p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--tol", type=_positive_float, default=1e-12)
     p.set_defaults(func=cmd_wavefunction)
 
     return parser
@@ -372,7 +371,8 @@ def cmd_validate(args) -> int:
                 "name": f"slope-state-{j}",
                 "pass": True,
                 "residual": 0.0,
-                "note": "error at roundoff resolution; nothing to fit",
+                "note": ("one dimension; nothing to fit" if len(dims) < 2
+                         else "error at roundoff resolution; nothing to fit"),
             })
             continue
         slope = _loglog_slope([p[0] for p in pts], [p[1] for p in pts])
@@ -457,7 +457,7 @@ def cmd_wavefunction(args) -> int:
     params = ModelParams(args.n, args.k, args.beta, args.gamma)
     if args.samples < 1:
         raise ValueError("samples must be positive")
-    wf, _energy = radial_wavefunction(params, args.dim, args.state, args.tol)
+    wf, _energy = radial_wavefunction(params, args.dim, args.state)
     radii = [args.rmax * (i + 1) / args.samples for i in range(args.samples)]
     psi = [wf.value(r) for r in radii]
     if not any(psi):

@@ -482,27 +482,25 @@ def truncated_spectrum(
 
 
 def radial_wavefunction(
-    params: ModelParams, dim, state: int, tol: float = 1e-12
+    params: ModelParams, dim, state: int
 ) -> tuple[RadialWavefunction, float]:
     """Taylor coefficients of the chosen bound state, the eigenvector of
     the model matrix, plus its energy.  States are indexed by ascending
     energy.
 
-    Only the chosen eigenvalue is bisected, bit for bit the one of
-    :func:`qes_spectrum`.  The eigenvector needs the whole matrix in
-    symmetric form, so a matrix that splits into blocks raises ValueError
-    here, as it would in :func:`inverse_iteration`.
+    Only the chosen eigenvalue is bisected, at the one default tolerance
+    of :func:`bisection_eigenvalues`: bit for bit the entry of
+    :func:`qes_spectrum`.  One twisted factorization gives the
+    eigenvector for every N, exactly [1.0] at N = 1.  A matrix that
+    splits into blocks has no eigenvector of its symmetric form and
+    raises ValueError, as in :func:`inverse_iteration`.
     """
     if not 0 <= state < params.n:
         raise IndexError(f"state must be in 0..{params.n - 1}")
     matrix = TridiagonalReal.from_exact(qes_matrix(params, dim))
-    energy = bisection_eigenvalues(*symmetrize(matrix), tol, state, state + 1)[0]
-    if params.n == 1:
-        coeffs = [1.0]
-    else:
-        coeffs = inverse_iteration(matrix, energy)
+    energy = bisection_eigenvalues(*symmetrize(matrix), first=state, last=state + 1)[0]
     wf = RadialWavefunction(
-        h=tuple(coeffs),
+        h=tuple(inverse_iteration(matrix, energy)),
         beta=float(params.beta),
         gamma=float(params.gamma),
         ell=float(params.ell(dim)),

@@ -202,6 +202,17 @@ def test_validate_small_error_at_large_dimension():
         assert row["rel_error"] <= 1e-12
 
 
+def test_validate_single_dimension_note_names_the_missing_fit():
+    # the error is well above roundoff; one D is simply nothing to fit
+    out = run_cli("validate", "-N", "2", "-k", "0", "-K", "0", "-D", "100")
+    doc = json.loads(out.stdout)
+    assert all(row["resolvable"] for row in doc["numeric"]["rows"])
+    for check in doc["checks"]:
+        assert check["pass"]
+        assert "roundoff" not in check["note"]
+        assert "one dimension" in check["note"]
+
+
 def test_series_and_validate_never_build_the_dense_w(monkeypatch, capsys):
     from qes_sextic import cli
     from qes_sextic.exact import ExactMatrix
@@ -359,6 +370,9 @@ def test_model_beyond_float64_is_one_line_error(args, words):
     (("spectrum", "-D", "10"), ("required", "-N")),
     (("series", "-N", "2", "--format", "xml"), ("argument --format", "xml")),
     (("pmatrix", "-N", "2", "--bogus"), ("unrecognized", "--bogus")),
+    # the eigenvector's eigenvalue is bisected at one fixed tolerance
+    (("wavefunction", "-N", "5", "-D", "10", "--state", "2", "--tol", "1e-9"),
+     ("unrecognized", "--tol")),
 ])
 def test_parser_rejection_is_one_line_error(args, words):
     assert_one_line_error(run_cli(*args, check=False), words)

@@ -70,7 +70,7 @@ def argvs(draw):
     else:
         argv += [f"-D={draw(dims)}", f"--state={draw(st.integers(-1, n))}",
                  f"--samples={draw(st.integers(0, 64))}"]
-        argv += optional(draw, "tol", TOLS) + optional(draw, "rmax", RMAXES)
+        argv += optional(draw, "rmax", RMAXES)
     return argv
 
 

@@ -423,6 +423,27 @@ def test_series_approaches_oracle_with_expected_rate():
             assert abs(slope - target) <= 0.2 * abs(target)
 
 
+def test_exact_tail_explains_the_ac6_red_state():
+    # AC-6's red state: N=6 k=2, state 5, orders 1..7 in the partial sum.
+    # The omitted terms 2*sqrt(2*gamma)*eps^(m)*lam^(m-1), m = 8..18, are
+    # exact, and their sum is the oracle's error at D = 100 and 1000.  At
+    # D = 100 the first of them is cancelled 30-fold and more by the next
+    # ones: the dip that pulls AC-6's three-point fit toward -2.
+    state, kept, last = 5, 7, 18
+    p, partial = run(6, 2, kept)
+    _, full = run(6, 2, last)
+    t0 = p.t_float()
+    for d in (100, 1000):
+        lam = 1.0 / math.sqrt(d)
+        error = qes_spectrum(p, d)[state] - energy_series(partial, state, p, d)
+        terms = [2.0 * math.sqrt(2.0 * float(p.gamma))
+                 * full.eps[m][state].evaluate_float(t0) * lam ** (m - 1)
+                 for m in range(kept + 1, last + 1)]
+        assert sum(terms) == pytest.approx(error, rel=0.01), d
+        if d == 100:
+            assert abs(terms[0]) >= 30 * abs(error)
+
+
 def test_no_floats_anywhere_in_exact_results():
     _, res = run(5, 1, 6)
     seen = []

@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 
 
 RSPT = "src/qes_sextic/rspt.py"
+ORACLE = "src/qes_sextic/oracle.py"
 GRID = "tests/test_rspt.py::test_series_equals_dense_reference_on_a_grid"
 
 MUTANTS = [
@@ -60,6 +61,10 @@ MUTANTS = [
            "_recursion(split.n, split.k, max_order, max_order)",
            "_recursion(split.n, split.k, max_order, 2 * max_order)",
            ("tests/test_rspt.py::test_window_covers_orders_clipped_by_max_order",)),
+    Mutant("eps^(2) of state 0 gains t^2/2", RSPT,
+           "eps[order][j] = r\n",
+           "eps[order][j] = r + t * t / 2 if (order, j) == (2, 0) else r\n",
+           ("tests/test_rspt.py::test_first_two_orders_closed_form",)),
     Mutant("G2 band +2 entry +1", RSPT,
            "2: lambda i: -(i + 1) * (i + 2) // 2,",
            "2: lambda i: -(i + 1) * (i + 2) // 2 + 1,",
@@ -67,17 +72,40 @@ MUTANTS = [
     Mutant("TPoly._of keeps trailing zeros", "src/qes_sextic/exact.py",
            "        while cs and not cs[-1]:\n            cs.pop()\n        poly",
            "        poly", ("tests/test_exact.py",)),
-    Mutant("Sturm count without the pivmin clamp", "src/qes_sextic/oracle.py",
+    Mutant("Sturm count without the pivmin clamp", ORACLE,
            "            if q > -pivmin:\n                q = -pivmin\n", "",
            ("tests/test_oracle.py",)),
-    Mutant("Sturm count step of 2", "src/qes_sextic/oracle.py",
+    Mutant("Sturm count step of 2", ORACLE,
            "            count += 1\n        q = (d - x)",
            "            count += 2\n        q = (d - x)",
            ("tests/test_oracle.py",)),
-    Mutant("Sturm count of the last pivot by < 0", "src/qes_sextic/oracle.py",
+    Mutant("Sturm count of the last pivot by < 0", ORACLE,
            "    if q < pivmin:\n        count += 1\n    return count",
            "    if q < 0:\n        count += 1\n    return count",
            ("tests/test_oracle.py",)),
+    Mutant("steered search accepts the first final bracket", ORACLE,
+           "            if count(lo) > c:\n                right = lo\n"
+           "            elif count(hi) <= c:\n                left = hi\n"
+           "            else:\n                break\n",
+           "            break\n", ("tests/test_oracle.py",)),
+    Mutant("steered search without the monotone-count certificate", ORACLE,
+           "return values if counts == sorted(counts) else None",
+           "return values",
+           ("tests/test_oracle.py::"
+            "test_whole_spectrum_equals_bisection_per_eigenvalue",)),
+    Mutant("QL gives up after 2 sweeps", ORACLE,
+           "if sweeps == 30:", "if sweeps == 2:",
+           ("tests/test_oracle.py::"
+            "test_steered_search_gives_the_plain_descent_bit_for_bit",)),
+    Mutant("index range not checked", ORACLE,
+           "if not 0 <= first < last <= n:", "if False:",
+           ("tests/test_oracle.py::"
+            "test_index_range_must_lie_within_the_spectrum",)),
+    Mutant("wavefunction bisects at tolerance 1e-9", ORACLE,
+           "*symmetrize(matrix), first=state, last=state + 1)",
+           "*symmetrize(matrix), 1e-9, state, state + 1)",
+           ("tests/test_oracle.py::"
+            "test_wavefunction_energy_is_the_spectrum_entry",)),
     Mutant("TPoly - drops the sign of the longer operand's tail",
            "src/qes_sextic/exact.py",
            "out = list(a) + [-c for c in b[len(a):]]",
