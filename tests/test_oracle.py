@@ -18,6 +18,7 @@ from qes_sextic.oracle import (
     radial_wavefunction,
     symmetrize,
     tridiagonal_spectrum,
+    truncated_spectrum,
 )
 
 
@@ -492,6 +493,27 @@ def test_tridiagonal_spectrum_rejects_negative_products():
     m = TridiagonalReal(diag=(0.0, 0.0), lower=(1.0,), upper=(-1.0,))
     with pytest.raises(ValueError):
         tridiagonal_spectrum(m)
+
+
+@pytest.mark.parametrize("n,k,beta,gamma,dim", [
+    (2, 0, 1, 1, 3),
+    (5, 1, Fraction(3, 2), Fraction(1, 2), Fraction(7, 2)),
+    (30, 2, 2, Fraction(1, 4), 100),
+])
+def test_truncated_spectrum_blocks(n, k, beta, gamma, dim):
+    # the kept blocks: the QES block alone, bit for bit, except at n + 1,
+    # where the 1x1 tail block beta*(4n+2k+D) beyond the zero at row n
+    # is symmetric too and adds its bisected entry
+    p = ModelParams(n, k, Fraction(beta), Fraction(gamma))
+    want = qes_spectrum(p, dim)
+    for n_trunc in (n, n + 2, n + 40):
+        assert _hex(truncated_spectrum(p, dim, n_trunc)) == _hex(want), n_trunc
+    rest = truncated_spectrum(p, dim, n + 1)
+    assert len(rest) == n + 1
+    for value in want:
+        rest.remove(value)
+    assert rest == [pytest.approx(float(p.beta * (4 * n + 2 * k + dim)),
+                                  rel=1e-9)]
 
 
 def test_characteristic_polynomial_preserved_by_symmetrization():
