@@ -147,18 +147,18 @@ def _sturm_count(
 
 
 def bisection_eigenvalues(
-    diag, offdiag, tol: float = 1e-12, first: int = 0, last: int | None = None
+    diag, offdiag, tol: float = 1e-12, index: int | None = None
 ) -> list[float]:
-    """Eigenvalues first..last-1 (default all) of a symmetric tridiagonal
-    matrix, ascending, each to absolute tolerance tol (floored at a few
-    ulps of its magnitude).  Raises ValueError unless 0 <= first < last
-    <= n.
+    """The whole spectrum of a symmetric tridiagonal matrix, ascending, or
+    [eigenvalue index] alone, each to absolute tolerance tol (floored at
+    a few ulps of its magnitude).  Raises ValueError unless index is None
+    or an int in 0..n-1.
 
     Each eigenvalue has its own bisection from the Gershgorin bracket
-    (glo, ghi] (:func:`_single`), so a range is bit for bit the slice of
-    the whole spectrum.  One index at n = 200 takes about 54 counts.  For
-    the whole spectrum, root-free QL estimates (:func:`_ql_eigenvalues`)
-    steer each search and spare its counts (:func:`_steered`).
+    (glo, ghi] (:func:`_single`), so one index is bit for bit its entry
+    of the spectrum; at n = 200 it takes about 54 counts.  For the whole
+    spectrum, root-free QL estimates (:func:`_ql_eigenvalues`) steer each
+    search and spare its counts (:func:`_steered`).
 
     Certification: the Sturm count is monotone in x in IEEE arithmetic
     (Kahan 1966; Demmel, Dhillon & Ren 1995).  Take a final bracket
@@ -176,10 +176,8 @@ def bisection_eigenvalues(
     n = len(diag)
     if len(offdiag) != n - 1:
         raise ValueError("off-diagonal must have length n-1")
-    if last is None:
-        last = n
-    if not 0 <= first < last <= n:
-        raise ValueError(f"index range {first}..{last - 1} not within 0..{n - 1}")
+    if index is not None and not (isinstance(index, int) and 0 <= index < n):
+        raise ValueError(f"index {index!r} not within 0..{n - 1}")
     off_sq = tuple(e * e for e in offdiag)
     pivmin = _pivmin(off_sq)
 
@@ -198,24 +196,19 @@ def bisection_eigenvalues(
     if _sturm_count(diag, off_sq, ghi, pivmin) != n:
         raise RuntimeError("eigenvalue count failed at the upper bound")
 
-    if last - first == n:
-        estimates = _ql_eigenvalues(diag, off_sq)
-        if estimates is not None and all(map(math.isfinite, estimates)):
-            values = _steered(diag, off_sq, pivmin, tol, glo, ghi, estimates)
-            if values is not None:
-                return values
-    return _plain(diag, off_sq, pivmin, tol, glo, ghi, first, last)
+    if index is not None:
+        return [_single(diag, off_sq, pivmin, tol, glo, ghi, index)]
+    estimates = _ql_eigenvalues(diag, off_sq)
+    if estimates is not None and all(map(math.isfinite, estimates)):
+        values = _steered(diag, off_sq, pivmin, tol, glo, ghi, estimates)
+        if values is not None:
+            return values
+    return [_single(diag, off_sq, pivmin, tol, glo, ghi, c) for c in range(n)]
 
 
 def _splits(lo, hi, depth, tol) -> bool:
     """Whether the bracket (lo, hi] at this depth is bisected further."""
     return depth < 300 and hi - lo > tol + 2.0 * _EPS * max(abs(lo), abs(hi))
-
-
-def _plain(diag, off_sq, pivmin, tol, glo, ghi, first, last) -> list[float]:
-    """Eigenvalues first..last-1, each by its own plain bisection."""
-    return [_single(diag, off_sq, pivmin, tol, glo, ghi, c)
-            for c in range(first, last)]
 
 
 def _single(diag, off_sq, pivmin, tol, lo, hi, c) -> float:
@@ -473,12 +466,13 @@ def truncated_spectrum(
     subdiagonal changes sign, making the tail block non-symmetrizable:
     its eigenvalues are largely complex truncation artifacts of an
     unbounded recursion and are omitted here.  Only decoupled blocks
-    with positive off-diagonal products contribute.
+    with positive off-diagonal products contribute, each bisected whole.
     """
     matrix = TridiagonalReal.from_exact(general_matrix(n_trunc, params, dim))
     blocks = [b for b in _irreducible_blocks(matrix)
               if all(lo * up > 0.0 for lo, up in zip(b.lower, b.upper))]
-    return sorted(v for block in blocks for v in tridiagonal_spectrum(block, tol))
+    return sorted(v for block in blocks
+                  for v in bisection_eigenvalues(*symmetrize(block), tol))
 
 
 def radial_wavefunction(
@@ -498,7 +492,7 @@ def radial_wavefunction(
     if not 0 <= state < params.n:
         raise IndexError(f"state must be in 0..{params.n - 1}")
     matrix = TridiagonalReal.from_exact(qes_matrix(params, dim))
-    energy = bisection_eigenvalues(*symmetrize(matrix), first=state, last=state + 1)[0]
+    energy = bisection_eigenvalues(*symmetrize(matrix), index=state)[0]
     wf = RadialWavefunction(
         h=tuple(inverse_iteration(matrix, energy)),
         beta=float(params.beta),

@@ -36,7 +36,6 @@ def test_names_the_tests_patch_exist():
     assert rspt.kac_involution is kac.kac_involution
     assert callable(rspt._band_product)
     assert callable(oracle._steered)
-    assert callable(oracle._plain)
     assert callable(oracle._ql_eigenvalues)
 
 
