@@ -402,7 +402,7 @@ def test_steered_search_bit_for_bit_on_random_matrices(monkeypatch):
             assert runs == [(True, False)]  # no fallback
 
 
-def _check_ranges(diag, off, tol):
+def _check_indices(diag, off, tol):
     # single indices at both ends, a third and the middle are bit for bit
     # their entries of the whole spectrum
     n = len(diag)
@@ -413,11 +413,11 @@ def _check_ranges(diag, off, tol):
 
 
 @pytest.mark.parametrize("n,k,beta,gamma,dim,tol", MODEL_MATRICES)
-def test_index_range_is_the_slice_of_the_spectrum(n, k, beta, gamma, dim, tol):
-    _check_ranges(*_model(n, k, beta, gamma, dim), tol)
+def test_one_index_is_its_entry_of_the_spectrum(n, k, beta, gamma, dim, tol):
+    _check_indices(*_model(n, k, beta, gamma, dim), tol)
 
 
-def test_index_range_is_the_slice_on_random_matrices():
+def test_one_index_is_its_entry_on_random_matrices():
     rng = random.Random(2024)
     for _ in range(60):
         n = rng.randint(1, 30)
@@ -425,7 +425,7 @@ def test_index_range_is_the_slice_on_random_matrices():
                      for _ in range(n))
         off = tuple(10.0 ** rng.uniform(-12, 6) for _ in range(n - 1))
         for tol in (1e-12, 1e-4):
-            _check_ranges(diag, off, tol)
+            _check_indices(diag, off, tol)
 
 
 @pytest.mark.parametrize("n,dim,tol", [(50, 3, 1e-12), (200, 100, 1e-12),
@@ -447,7 +447,7 @@ def test_single_index_equals_bisection_per_eigenvalue_under_noisy_counts(
 
 
 @pytest.mark.parametrize("index", [-1, 4, 5, 1.5, 2.0])
-def test_index_range_must_lie_within_the_spectrum(index):
+def test_index_must_lie_within_the_spectrum(index):
     # a float must not pick an eigenvalue, even an integral one
     with pytest.raises(ValueError):
         bisection_eigenvalues((1.0, 2.0, 3.0, 4.0), (0.5, 0.5, 0.5), 1e-12,

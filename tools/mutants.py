@@ -100,7 +100,7 @@ MUTANTS = [
     Mutant("index not checked", ORACLE,
            "if index is not None and not (", "if False and not (",
            ("tests/test_oracle.py::"
-            "test_index_range_must_lie_within_the_spectrum",)),
+            "test_index_must_lie_within_the_spectrum",)),
     Mutant("wavefunction bisects at tolerance 1e-9", ORACLE,
            "*symmetrize(matrix), index=state)",
            "*symmetrize(matrix), 1e-9, state)",
