@@ -372,7 +372,8 @@ def cmd_validate(args) -> int:
                 "pass": True,
                 "residual": 0.0,
                 "note": ("one dimension; nothing to fit" if len(dims) < 2
-                         else "error at roundoff resolution; nothing to fit"),
+                         else "error within the oracle's resolution; "
+                         "nothing to fit"),
             })
             continue
         slope = _loglog_slope([p[0] for p in pts], [p[1] for p in pts])

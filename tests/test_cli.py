@@ -213,6 +213,20 @@ def test_validate_single_dimension_note_names_the_missing_fit():
         assert "one dimension" in check["note"]
 
 
+def test_validate_note_does_not_blame_roundoff_for_a_coarse_tol():
+    # at --tol 1e-3 the oracle resolves eigenvalues to 5e-4 only; errors of
+    # 1.8e-5 to 3.5e-4 lie below that, but far above roundoff
+    out = run_cli("validate", "-N", "3", "-K", "6", "-D", "100,1000,10000",
+                  "--tol", "1e-3")
+    doc = json.loads(out.stdout)
+    assert not any(row["resolvable"] for row in doc["numeric"]["rows"])
+    assert max(row["abs_error"] for row in doc["numeric"]["rows"]) > 1e-5
+    for check in doc["checks"]:
+        assert check["pass"]
+        assert "roundoff" not in check["note"]
+        assert "resolution" in check["note"]
+
+
 def test_series_and_validate_never_build_the_dense_w(monkeypatch, capsys):
     from qes_sextic import cli
     from qes_sextic.exact import ExactMatrix
