@@ -101,6 +101,13 @@ MUTANTS = [
            "if index is not None and not (", "if False and not (",
            ("tests/test_oracle.py::"
             "test_index_must_lie_within_the_spectrum",)),
+    Mutant("one index bisects its upper neighbour", ORACLE,
+           "glo, ghi, index)]", "glo, ghi, index + 1)]",
+           ("tests/test_oracle.py::"
+            "test_one_index_is_its_entry_of_the_spectrum",)),
+    Mutant("truncated spectrum drops a 1x1 tail block", ORACLE,
+           "if all(lo * up > 0.0", "if b.lower and all(lo * up > 0.0",
+           ("tests/test_oracle.py::test_truncated_spectrum_blocks",)),
     Mutant("wavefunction bisects at tolerance 1e-9", ORACLE,
            "*symmetrize(matrix), index=state)",
            "*symmetrize(matrix), 1e-9, state)",
