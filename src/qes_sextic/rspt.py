@@ -23,6 +23,16 @@ output stays exact.  W^(k)_jj = 0 (intermediate normalization) leaves
 every energy unchanged.  Entries of eps^(k) and W^(k) are polynomials in
 t of degree <= k with the parity of k.
 
+So each entry is t^(k mod 2) times a polynomial in u = t^2 of degree
+<= k/2, and the recursion keeps only that polynomial's list of
+``Fraction`` coefficients: per state j, one column of W^(o) per order o,
+keyed by the row offset i - j.  G1's t becomes a one-place shift in u at
+even orders (t * t^(odd) = u * t^(even)); eps^(m) W^(k-m) is shifted
+when m and k - m are both odd; G2 and the division by 2(j - i) act on
+the coefficients alone.  A :class:`TPoly` is built once per eps entry
+(mirror included), and once per W entry only when :attr:`SeriesResult.w`
+asks for W, so the recursion itself does no ``TPoly`` arithmetic.
+
 The energies through order K need far fewer rows (the idea behind
 Wigner's 2n+1 rule): eps^(K)_j = R^(K)_jj reads W^(o) of column j only on
 the window |i - j| <= min(o, K - o), and the window is closed, because G1
@@ -47,6 +57,7 @@ odd n included), and each entry it computes writes its mirror at once.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .exact import ExactMatrix, Scalar, TPoly
@@ -72,7 +83,9 @@ class SeriesResult(NamedTuple):
 
     @property
     def w(self) -> tuple[ExactMatrix, ...]:
-        _, w = _recursion(self.n, self.k, self.max_order, 2 * self.max_order)
+        n, zero = self.n, TPoly.zero()
+        w = [[[zero] * n for _ in range(n)] for _ in range(self.max_order + 1)]
+        _recursion(n, self.k, self.max_order, 2 * self.max_order, w)
         return tuple(ExactMatrix(rows) for rows in w[1:])
 
 
@@ -98,57 +111,99 @@ def perturbation_bands(n: int, k: int) -> tuple[Bands, Bands]:
     return g1, g2
 
 
-def _band_product(bands: Bands, x: list, i: int, j: int) -> TPoly:
-    """Entry (i, j) of the band matrix times the n x n array x."""
-    return sum(
-        (x[i + d][j] * entry(i) for d, entry in bands.items()
-         if 0 <= i + d < len(x) and not x[i + d][j].is_zero),
-        TPoly.zero(),
-    )
+# column j of W^(o) for one state j: row offset i - j -> the entry's
+# coefficients in u = t^2, lowest power first, the factor t^(o mod 2) implicit
+Column = dict[int, list]
 
 
-def _recursion(n: int, k: int, max_order: int, horizon: int):
-    """(eps, w) as nested lists, eps[order][j] = eps^(order)_j and
-    w[order][i][j] = W^(order)_ij, orders 0..max_order.  The states
-    j <= (n-1)/2 compute column j of W^(order) on the rows
-    |i - j| <= min(order, horizon - order), and each entry writes its
-    mirror as it is computed; every other entry stays 0."""
-    zero, one = TPoly.zero(), TPoly.one()
+def _band_product(bands: Bands, x: Column, i: int, j: int) -> list:
+    """Row i of the band matrix times column x of state j, in u."""
+    out = []
+    for d, entry in bands.items():
+        cs = x.get(i + d - j)
+        if cs and (a := entry(i)):
+            for p, c in enumerate(cs):
+                if p < len(out):
+                    out[p] += c * a
+                else:
+                    out.append(c * a)
+    return out
+
+
+def _subtract_product(acc: list, a: list, b: list, shift: int) -> None:
+    """acc -= u^shift * a * b, polynomials in u."""
+    for p, x in enumerate(a, shift):
+        if x:
+            for q, y in enumerate(b, p):
+                if y:
+                    acc[q] -= x * y
+
+
+def _in_t(cs: list, parity: int) -> TPoly:
+    """The polynomial t^parity * sum_p cs[p] u^p, u = t^2."""
+    coeffs = [0] * (2 * len(cs) + parity)
+    coeffs[parity::2] = cs
+    return TPoly(coeffs)
+
+
+def _recursion(n: int, k: int, max_order: int, horizon: int, w=None) -> list:
+    """eps[order][j] = eps^(order)_j as TPoly, orders 0..max_order.
+
+    The states j <= (n-1)/2 compute column j of W^(order) on the rows
+    |i - j| <= min(order, horizon - order), as :data:`Column`s, and each
+    eps entry writes its mirror as it is computed.  Given ``w``, nested
+    lists w[order][i][j] of TPoly zeros, each computed W entry and its
+    mirror are written into it as TPoly; every other entry stays 0."""
+    zero = Fraction(0)
     eps = [[TPoly.constant(e) for e in unperturbed_levels(n)]]
-    eps += [[zero] * n for _ in range(max_order)]
-    w = [[[one if i == j else zero for j in range(n)] for i in range(n)]]
-    w += [[[zero] * n for _ in range(n)] for _ in range(max_order)]
+    eps += [[None] * n for _ in range(max_order)]
     g1, g2 = perturbation_bands(n, k)
-    t = TPoly.t()
     for j in range((n + 1) // 2):
         # mirror columns n-1-j > (n-1)/2 are never read; the middle state
         # of odd n is its own mirror
         mirror = n - 1 - j > j
+        cols: list[Column] = [{0: [1]}]  # column j of W^(0) = I
+        es = [None] * (max_order + 1)  # eps^(m)_j in u
         for order in range(1, max_order + 1):
+            parity = order % 2
             width = min(order, horizon - order)
+            col = {}
             for i in range(max(0, j - width), min(n, j + width + 1)):
-                r = t * _band_product(g1, w[order - 1], i, j)
+                r = _band_product(g1, cols[order - 1], i, j)
+                if not parity:
+                    r.insert(0, zero)  # G1's t times t^(order-1) is u^(order/2)
+                r += [zero] * (order // 2 + 1 - len(r))
                 if order >= 2:
-                    r = r + _band_product(g2, w[order - 2], i, j)
+                    for p, c in enumerate(_band_product(g2, cols[order - 2], i, j)):
+                        r[p] += c
                 for m in range(1, order):
-                    if not w[order - m][i][j].is_zero:
-                        r = r - eps[m][j] * w[order - m][i][j]
+                    x = cols[order - m].get(i - j)
+                    if x and es[m]:
+                        # t^(m mod 2) t^((order-m) mod 2) is u when both are odd
+                        _subtract_product(r, es[m], x, m % 2 & (order - m) % 2)
+                while r and not r[-1]:
+                    r.pop()
                 if i == j:
-                    eps[order][j] = r
+                    es[order] = r
+                    e = eps[order][j] = _in_t(r, parity)
                     if mirror:
-                        eps[order][n - 1 - j] = r if order % 2 else -r
+                        eps[order][n - 1 - j] = e if parity else -e
                 else:
-                    x = w[order][i][j] = r / (2 * (j - i))
-                    if mirror:
-                        w[order][n - 1 - i][n - 1 - j] = -x if order % 2 else x
-    return eps, w
+                    inverse = Fraction(1, 2 * (j - i))
+                    col[i - j] = x = [c * inverse for c in r]
+                    if w is not None:
+                        e = w[order][i][j] = _in_t(x, parity)
+                        if mirror:
+                            w[order][n - 1 - i][n - 1 - j] = -e if parity else e
+            cols.append(col)
+    return eps
 
 
 def perturbation_series(split: PerturbationSplit, max_order: int) -> SeriesResult:
     """Energies through max_order from the energy window; purely rational."""
     if not isinstance(max_order, int) or max_order < 0:
         raise ValueError("max_order must be a non-negative integer")
-    eps, _ = _recursion(split.n, split.k, max_order, max_order)
+    eps = _recursion(split.n, split.k, max_order, max_order)
     return SeriesResult(n=split.n, k=split.k, max_order=max_order,
                         eps=tuple(map(tuple, eps)))
 

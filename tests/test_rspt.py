@@ -283,6 +283,86 @@ def test_series_equals_dense_reference_on_a_grid():
                 assert res.w == w, (n, k, max_order)
 
 
+def tpoly_band_product(bands, x, i, j):
+    """Entry (i, j) of the band matrix times the n x n TPoly array x."""
+    return sum(
+        (x[i + d][j] * entry(i) for d, entry in bands.items()
+         if 0 <= i + d < len(x) and not x[i + d][j].is_zero),
+        TPoly.zero(),
+    )
+
+
+def tpoly_recursion(n, k, max_order, horizon):
+    """Reference: the windowed, reflection-halved recursion on dense n x n
+    lists of TPoly, with t explicit.  Returns (eps, w) as nested lists,
+    w[order][i][j] = W^(order)_ij."""
+    zero, one = TPoly.zero(), TPoly.one()
+    eps = [[TPoly.constant(e) for e in unperturbed_levels(n)]]
+    eps += [[zero] * n for _ in range(max_order)]
+    w = [[[one if i == j else zero for j in range(n)] for i in range(n)]]
+    w += [[[zero] * n for _ in range(n)] for _ in range(max_order)]
+    g1, g2 = perturbation_bands(n, k)
+    t = TPoly.t()
+    for j in range((n + 1) // 2):
+        mirror = n - 1 - j > j
+        for order in range(1, max_order + 1):
+            width = min(order, horizon - order)
+            for i in range(max(0, j - width), min(n, j + width + 1)):
+                r = t * tpoly_band_product(g1, w[order - 1], i, j)
+                if order >= 2:
+                    r = r + tpoly_band_product(g2, w[order - 2], i, j)
+                for m in range(1, order):
+                    if not w[order - m][i][j].is_zero:
+                        r = r - eps[m][j] * w[order - m][i][j]
+                if i == j:
+                    eps[order][j] = r
+                    if mirror:
+                        eps[order][n - 1 - j] = r if order % 2 else -r
+                else:
+                    x = w[order][i][j] = r / (2 * (j - i))
+                    if mirror:
+                        w[order][n - 1 - i][n - 1 - j] = -x if order % 2 else x
+    return eps, w
+
+
+@pytest.mark.parametrize("n, max_order", [(20, 12), (9, 12), (5, 20), (8, 16)])
+@pytest.mark.parametrize("k", [0, 3])
+def test_series_equals_tpoly_reference_at_bench_shapes(n, k, max_order):
+    # orders where odd.odd products shift by u and the u-lists grow long,
+    # beyond the dense reference's reach
+    _, res = run(n, k, max_order)
+    eps, _ = tpoly_recursion(n, k, max_order, max_order)
+    assert res.eps == tuple(map(tuple, eps))
+    _, w = tpoly_recursion(n, k, max_order, 2 * max_order)
+    assert res.w == tuple(ExactMatrix(rows) for rows in w[1:])
+
+
+def test_recursion_does_no_tpoly_arithmetic(monkeypatch):
+    _, expected = run(6, 2, 8)
+    split = perturbation_split(ModelParams(6, 2, Fraction(1), Fraction(1)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recursion did TPoly arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
+                 "__truediv__"):
+        monkeypatch.setattr(TPoly, name, refuse)
+    assert perturbation_series(split, 8).eps == expected.eps
+
+
+def test_every_coefficient_is_dyadic():
+    # eps0_j - eps0_i = 2(j - i): the odd part of each divisor must cancel
+    for n in range(1, 13):
+        for k in range(4):
+            _, res = run(n, k, 8)
+            polys = [e for row in res.eps for e in row]
+            polys += [e for w in res.w for row in w.rows for e in row]
+            for poly in polys:
+                for c in poly.coeffs:
+                    d = c.denominator
+                    assert d & (d - 1) == 0, (n, k, poly)
+
+
 @pytest.mark.parametrize("n", [7, 8])
 def test_recursion_runs_only_the_lower_half_of_the_states(n, monkeypatch):
     # the reflection supplies states above (n-1)/2; the middle state of odd
