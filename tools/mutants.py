@@ -42,28 +42,36 @@ class Mutant(NamedTuple):
 RSPT = "src/qes_sextic/rspt.py"
 ORACLE = "src/qes_sextic/oracle.py"
 GRID = "tests/test_rspt.py::test_series_equals_dense_reference_on_a_grid"
+REFERENCE = "tests/test_rspt.py::test_series_equals_tpoly_reference_at_bench_shapes"
 
 MUTANTS = [
     Mutant("eps mirror sign swapped", RSPT,
-           "eps[order][n - 1 - j] = r if order % 2 else -r",
-           "eps[order][n - 1 - j] = -r if order % 2 else r", (GRID,)),
+           "eps[order][n - 1 - j] = e if parity else -e",
+           "eps[order][n - 1 - j] = -e if parity else e", (GRID,)),
     Mutant("W mirror sign swapped", RSPT,
-           "w[order][n - 1 - i][n - 1 - j] = -x if order % 2 else x",
-           "w[order][n - 1 - i][n - 1 - j] = x if order % 2 else -x", (GRID,)),
+           "w[order][n - 1 - i][n - 1 - j] = -e if parity else e",
+           "w[order][n - 1 - i][n - 1 - j] = e if parity else -e", (GRID,)),
     Mutant("middle state of odd n not computed", RSPT,
            "for j in range((n + 1) // 2):", "for j in range(n // 2):", (GRID,)),
     Mutant("window one row narrower", RSPT,
            "width = min(order, horizon - order)",
            "width = min(order, horizon - order) - 1", (GRID,)),
     Mutant("W divisor sign flipped", RSPT,
-           "r / (2 * (j - i))", "r / (2 * (i - j))", (GRID,)),
+           "Fraction(1, 2 * (j - i))", "Fraction(1, 2 * (i - j))", (GRID,)),
+    Mutant("G1's u-shift taken at odd orders instead of even ones", RSPT,
+           "if not parity:\n                    r.insert(0, zero)",
+           "if parity:\n                    r.insert(0, zero)", (REFERENCE,)),
+    Mutant("odd.odd eps.W product loses its u-shift", RSPT,
+           "_subtract_product(r, es[m], x, m % 2 & (order - m) % 2)",
+           "_subtract_product(r, es[m], x, 0)", (REFERENCE,)),
     Mutant("energies run on the whole band", RSPT,
            "_recursion(split.n, split.k, max_order, max_order)",
            "_recursion(split.n, split.k, max_order, 2 * max_order)",
            ("tests/test_rspt.py::test_window_covers_orders_clipped_by_max_order",)),
     Mutant("eps^(2) of state 0 gains t^2/2", RSPT,
-           "eps[order][j] = r\n",
-           "eps[order][j] = r + t * t / 2 if (order, j) == (2, 0) else r\n",
+           "e = eps[order][j] = _in_t(r, parity)\n",
+           "e = eps[order][j] = _in_t(r, parity) + (TPoly((0, 0, Fraction(1, 2)))"
+           " if (order, j) == (2, 0) else 0)\n",
            ("tests/test_rspt.py::test_first_two_orders_closed_form",)),
     Mutant("G2 band +2 entry +1", RSPT,
            "2: lambda i: -(i + 1) * (i + 2) // 2,",
