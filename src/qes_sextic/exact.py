@@ -6,8 +6,9 @@ polynomial in the dimensionless coupling t with rational coefficients
 (:class:`TPoly`).  :class:`ExactMatrix`, square and dense with
 :class:`TPoly` entries (degree 0 for integer and rational matrices),
 holds the Kac matrices, the exact checks and the correction matrices W
-that ``SeriesResult.w`` builds on access; the recursion itself runs on
-nested lists of :class:`TPoly`.
+that ``SeriesResult.w`` builds on access.  The recursion itself runs on
+lists of ``Fraction`` coefficients in t^2 and builds a :class:`TPoly`
+only for each result entry.
 
 No floating point enters these types.  Validation happens where values
 enter the exact layer: the public constructors, ``TPoly.constant`` and

@@ -146,7 +146,8 @@ def _in_t(cs: list, parity: int) -> TPoly:
     return TPoly(coeffs)
 
 
-def _recursion(n: int, k: int, max_order: int, horizon: int, w=None) -> list:
+def _recursion(n: int, k: int, max_order: int, horizon: int,
+               w: list | None = None) -> list:
     """eps[order][j] = eps^(order)_j as TPoly, orders 0..max_order.
 
     The states j <= (n-1)/2 compute column j of W^(order) on the rows
@@ -171,7 +172,7 @@ def _recursion(n: int, k: int, max_order: int, horizon: int, w=None) -> list:
             for i in range(max(0, j - width), min(n, j + width + 1)):
                 r = _band_product(g1, cols[order - 1], i, j)
                 if not parity:
-                    r.insert(0, zero)  # G1's t times t^(order-1) is u^(order/2)
+                    r.insert(0, zero)  # G1's t times the t of odd order - 1 is u
                 r += [zero] * (order // 2 + 1 - len(r))
                 if order >= 2:
                     for p, c in enumerate(_band_product(g2, cols[order - 2], i, j)):
