@@ -10,13 +10,12 @@ that ``SeriesResult.w`` builds on access.  The recursion itself runs on
 lists of ``Fraction`` coefficients in t^2 and builds a :class:`TPoly`
 only for each result entry.
 
-No floating point enters these types.  Validation happens where values
-enter the exact layer: the public constructors, ``TPoly.constant`` and
-every scalar operand of the arithmetic go through :func:`as_rational`,
-which rejects ``float`` outright.  That is what makes the
-no-rounding-error guarantee checkable rather than aspirational.  Results
-of ``TPoly`` arithmetic are built from ``Fraction`` coefficients the
-operation itself computed, so they are not checked again.
+No floating point enters these types.  Every :class:`TPoly`, given or
+computed, is built by its one constructor, which passes each coefficient
+through :func:`as_rational` and so rejects ``float`` outright; a scalar
+operand of the arithmetic enters through ``TPoly.constant``.  That is
+what makes the no-rounding-error guarantee checkable rather than
+aspirational.
 
 Serialization: a rational is the string ``"num/den"`` (just ``"num"`` when
 the denominator is 1, i.e. exactly ``str(Fraction)``); a polynomial is the
@@ -49,8 +48,8 @@ class TPoly:
     stripped; the zero polynomial stores an empty tuple.  Instances are
     immutable and hashable.
 
-    ``TPoly(coeffs)`` validates every coefficient; the arithmetic builds
-    its results through :meth:`_of`, which trusts them.
+    ``TPoly(coeffs)`` is the one constructor: it validates every
+    coefficient, of a given polynomial and of an arithmetic result alike.
     """
 
     __slots__ = ("coeffs",)
@@ -62,16 +61,6 @@ class TPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def _of(cls, cs: list[Fraction]) -> "TPoly":
-        """A computed result: ``cs`` holds Fractions only; trailing zeros
-        are stripped in place."""
-        while cs and not cs[-1]:
-            cs.pop()
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "coeffs", tuple(cs))
-        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("TPoly is immutable")
@@ -127,31 +116,24 @@ class TPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return TPoly._of(out)
+        return TPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TPoly":
-        return TPoly._of([-c for c in self.coeffs])
+        return TPoly([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "TPoly":
-        a, b = self.coeffs, _as_tpoly(other).coeffs
-        out = list(a) + [-c for c in b[len(a):]]
-        for i, c in enumerate(b[:len(a)]):
-            out[i] -= c
-        return TPoly._of(out)
+        return self + (-other)
 
     def __rsub__(self, other) -> "TPoly":
         return _as_tpoly(other) - self
 
     def __mul__(self, other) -> "TPoly":
         if isinstance(other, (int, Fraction)):
-            # Fraction * int stays a Fraction: no coercion needed
-            return TPoly._of([a * other for a in self.coeffs])
-        if not isinstance(other, TPoly):
+            other = TPoly.constant(other)
+        elif not isinstance(other, TPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return TPoly._of([])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -159,7 +141,7 @@ class TPoly:
             for j, b in enumerate(other.coeffs):
                 if b:
                     out[i + j] += a * b
-        return TPoly._of(out)
+        return TPoly(out)
 
     __rmul__ = __mul__
 

@@ -119,8 +119,9 @@ def test_constants_hash_as_the_scalars_they_equal(scalar):
 
 
 def test_arithmetic_results_are_canonical():
-    # results skip validation, so they must come out exactly as the
-    # validating constructor would build them
+    # every result goes through the validating constructor, and must come
+    # out exactly as that constructor builds it from the result's own
+    # coefficients, whichever operands the operation was given
     rng = random.Random(1717)
 
     def rand_coeff():
@@ -143,6 +144,8 @@ def test_arithmetic_results_are_canonical():
             cut = rng.randint(0, len(p.coeffs) - 1)
             q = TPoly([rand_coeff() for _ in range(cut)] + list(p.coeffs[cut:]))
         c = rand_scalar()
+        # one degree above p at least, so p - longer negates longer's tail
+        longer = TPoly([rand_coeff() for _ in range(len(p.coeffs))] + [1])
         x = Fraction(rng.randint(-99, 99), rng.randint(1, 99))
         px, qx = p.evaluate(x), q.evaluate(x)
         results = [
@@ -150,6 +153,8 @@ def test_arithmetic_results_are_canonical():
             (p + (-q), px - qx), (-p, -px), (p * q, px * qx),
             (p * (-p), -px * px), (p - p, 0), (p + c, px + c), (c + p, c + px),
             (p - c, px - c), (c - p, c - px), (p * c, px * c), (c * p, c * px),
+            (TPoly() * p, 0), (p * TPoly(), 0), (p * 0, 0), (0 * p, 0),
+            (p - longer, px - longer.evaluate(x)),
         ]
         if c:
             results.append((p / c, px / c))

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 RSPT = "src/qes_sextic/rspt.py"
 ORACLE = "src/qes_sextic/oracle.py"
+EXACT = "src/qes_sextic/exact.py"
 GRID = "tests/test_rspt.py::test_series_equals_dense_reference_on_a_grid"
 REFERENCE = "tests/test_rspt.py::test_series_equals_tpoly_reference_at_bench_shapes"
 
@@ -77,9 +78,16 @@ MUTANTS = [
            "2: lambda i: -(i + 1) * (i + 2) // 2,",
            "2: lambda i: -(i + 1) * (i + 2) // 2 + 1,",
            ("tests/test_rspt.py::test_order_identities_hold_in_original_basis",)),
-    Mutant("TPoly._of keeps trailing zeros", "src/qes_sextic/exact.py",
-           "        while cs and not cs[-1]:\n            cs.pop()\n        poly",
-           "        poly", ("tests/test_exact.py",)),
+    Mutant("TPoly keeps trailing zeros", EXACT,
+           "        while cs and cs[-1] == 0:\n            cs.pop()\n", "",
+           ("tests/test_exact.py",)),
+    Mutant("TPoly - adds instead of subtracting", EXACT,
+           'def __sub__(self, other) -> "TPoly":\n        return self + (-other)',
+           'def __sub__(self, other) -> "TPoly":\n        return self + other',
+           ("tests/test_exact.py",)),
+    Mutant("TPoly * scalar negates the scalar", EXACT,
+           "other = TPoly.constant(other)", "other = TPoly.constant(-other)",
+           ("tests/test_exact.py",)),
     Mutant("Sturm count without the pivmin clamp", ORACLE,
            "            if q > -pivmin:\n                q = -pivmin\n", "",
            ("tests/test_oracle.py",)),
@@ -121,10 +129,6 @@ MUTANTS = [
            "*symmetrize(matrix), 1e-9, state)",
            ("tests/test_oracle.py::"
             "test_wavefunction_energy_is_the_spectrum_entry",)),
-    Mutant("TPoly - drops the sign of the longer operand's tail",
-           "src/qes_sextic/exact.py",
-           "out = list(a) + [-c for c in b[len(a):]]",
-           "out = list(a) + list(b[len(a):])", ("tests/test_exact.py",)),
 ]
 
 
