@@ -17,21 +17,20 @@ and W^(-1) = 0, the order-lambda^k equation is
 The sum only scales column j by eps^(m)_j, so the recursion is n
 independent vector recursions: column j of R^(k) needs column j of the
 lower orders alone, and lives on rows j-k..j+k.  R^(k)_jj = eps^(k)_j;
-off it W^(k)_ij = R^(k)_ij / (eps0_j - eps0_i), where the equidistant
-spectrum makes the divisor 2(j - i), a nonzero even integer, so every
-output stays exact.  W^(k)_jj = 0 (intermediate normalization) leaves
-every energy unchanged.  Entries of eps^(k) and W^(k) are polynomials in
-t of degree <= k with the parity of k.
+off it W^(k)_ij = R^(k)_ij / (eps0_j - eps0_i) = R^(k)_ij / (2(j - i)).
+W^(k)_jj = 0 (intermediate normalization) leaves every energy unchanged.
 
-So each entry is t^(k mod 2) times a polynomial in u = t^2 of degree
-<= k/2, and the recursion keeps only that polynomial's list of
-``Fraction`` coefficients: per state j, one column of W^(o) per order o,
-keyed by the row offset i - j.  G1's t becomes a one-place shift in u at
-even orders (t * t^(odd) = u * t^(even)); eps^(m) W^(k-m) is shifted
-when m and k - m are both odd; G2 and the division by 2(j - i) act on
-the coefficients alone.  A :class:`TPoly` is built once per eps entry
-(mirror included), and once per W entry only when :attr:`SeriesResult.w`
-asks for W, so the recursion itself does no ``TPoly`` arithmetic.
+Every entry of eps^(k) and W^(k) is t^(k mod 2) times a polynomial in
+u = t^2 of degree <= k/2 (degree <= k in t, with the parity of k).  Per
+state j and order o, one column of W^(o), keyed by the row offset i - j,
+keeps those coefficients times 2^o as Python ints.  In that form 2^k R^(k)
+is 2 G1 W^(k-1) + 4 G2 W^(k-2) minus the eps^(m) W^(k-m), already at the
+scale 2^m 2^(k-m).  G1's t at even orders, and a product with m and k - m
+both odd, shift the coefficients by one power of u.  Each division by
+2(j - i) is one ``divmod``: the scale is checked, not proven, so a
+remainder raises ArithmeticError and nothing is rounded.  Only results
+are rational: ``Fraction(c, 2^k)`` and a :class:`TPoly` are built per eps
+entry and, when :attr:`SeriesResult.w` asks, per W entry.
 
 The energies through order K need far fewer rows (the idea behind
 Wigner's 2n+1 rule): eps^(K)_j = R^(K)_jj reads W^(o) of column j only on
@@ -111,8 +110,8 @@ def perturbation_bands(n: int, k: int) -> tuple[Bands, Bands]:
     return g1, g2
 
 
-# column j of W^(o) for one state j: row offset i - j -> the entry's
-# coefficients in u = t^2, lowest power first, the factor t^(o mod 2) implicit
+# column j of W^(o) for one state j: row offset i - j -> 2^o times the entry's
+# coefficients in u = t^2, ints, lowest first, the factor t^(o mod 2) implicit
 Column = dict[int, list]
 
 
@@ -139,10 +138,10 @@ def _subtract_product(acc: list, a: list, b: list, shift: int) -> None:
                     acc[q] -= x * y
 
 
-def _in_t(cs: list, parity: int) -> TPoly:
-    """The polynomial t^parity * sum_p cs[p] u^p, u = t^2."""
-    coeffs = [0] * (2 * len(cs) + parity)
-    coeffs[parity::2] = cs
+def _in_t(cs: list, order: int) -> TPoly:
+    """The entry t^(order mod 2) * sum_p cs[p] u^p / 2^order, u = t^2."""
+    coeffs = [0] * (2 * len(cs) + order % 2)
+    coeffs[order % 2::2] = [Fraction(c, 2**order) for c in cs]
     return TPoly(coeffs)
 
 
@@ -150,12 +149,11 @@ def _recursion(n: int, k: int, max_order: int, horizon: int,
                w: list | None = None) -> list:
     """eps[order][j] = eps^(order)_j as TPoly, orders 0..max_order.
 
-    The states j <= (n-1)/2 compute column j of W^(order) on the rows
-    |i - j| <= min(order, horizon - order), as :data:`Column`s, and each
-    eps entry writes its mirror as it is computed.  Given ``w``, nested
-    lists w[order][i][j] of TPoly zeros, each computed W entry and its
-    mirror are written into it as TPoly; every other entry stays 0."""
-    zero = Fraction(0)
+    The states j <= (n-1)/2 compute column j of W^(order), ints at the
+    scale 2^order, on the rows |i - j| <= min(order, horizon - order), and
+    each eps entry writes its mirror as it is computed.  Given ``w``,
+    nested lists w[order][i][j] of TPoly zeros, each computed W entry and
+    its mirror are written into it as TPoly; every other entry stays 0."""
     eps = [[TPoly.constant(e) for e in unperturbed_levels(n)]]
     eps += [[None] * n for _ in range(max_order)]
     g1, g2 = perturbation_bands(n, k)
@@ -164,19 +162,19 @@ def _recursion(n: int, k: int, max_order: int, horizon: int,
         # of odd n is its own mirror
         mirror = n - 1 - j > j
         cols: list[Column] = [{0: [1]}]  # column j of W^(0) = I
-        es = [None] * (max_order + 1)  # eps^(m)_j in u
+        es = [None] * (max_order + 1)  # 2^m eps^(m)_j in u
         for order in range(1, max_order + 1):
             parity = order % 2
             width = min(order, horizon - order)
             col = {}
             for i in range(max(0, j - width), min(n, j + width + 1)):
-                r = _band_product(g1, cols[order - 1], i, j)
+                r = [2 * c for c in _band_product(g1, cols[order - 1], i, j)]
                 if not parity:
-                    r.insert(0, zero)  # G1's t times the t of odd order - 1 is u
-                r += [zero] * (order // 2 + 1 - len(r))
+                    r.insert(0, 0)  # G1's t times the t of odd order - 1 is u
+                r += [0] * (order // 2 + 1 - len(r))
                 if order >= 2:
                     for p, c in enumerate(_band_product(g2, cols[order - 2], i, j)):
-                        r[p] += c
+                        r[p] += 4 * c
                 for m in range(1, order):
                     x = cols[order - m].get(i - j)
                     if x and es[m]:
@@ -186,14 +184,16 @@ def _recursion(n: int, k: int, max_order: int, horizon: int,
                     r.pop()
                 if i == j:
                     es[order] = r
-                    e = eps[order][j] = _in_t(r, parity)
+                    e = eps[order][j] = _in_t(r, order)
                     if mirror:
                         eps[order][n - 1 - j] = e if parity else -e
                 else:
-                    inverse = Fraction(1, 2 * (j - i))
-                    col[i - j] = x = [c * inverse for c in r]
+                    qr = [divmod(c, 2 * (j - i)) for c in r]
+                    if any(rest for _, rest in qr):
+                        raise ArithmeticError(f"W^({order}) leaves the scale 2^{order}")
+                    col[i - j] = x = [q for q, _ in qr]
                     if w is not None:
-                        e = w[order][i][j] = _in_t(x, parity)
+                        e = w[order][i][j] = _in_t(x, order)
                         if mirror:
                             w[order][n - 1 - i][n - 1 - j] = -e if parity else e
             cols.append(col)

@@ -325,7 +325,8 @@ def tpoly_recursion(n, k, max_order, horizon):
     return eps, w
 
 
-@pytest.mark.parametrize("n, max_order", [(20, 12), (9, 12), (5, 20), (8, 16)])
+@pytest.mark.parametrize("n, max_order",
+                         [(20, 12), (9, 12), (5, 20), (8, 16), (6, 30)])
 @pytest.mark.parametrize("k", [0, 3])
 def test_series_equals_tpoly_reference_at_bench_shapes(n, k, max_order):
     # orders where odd.odd products shift by u and the u-lists grow long,
@@ -361,6 +362,46 @@ def test_every_coefficient_is_dyadic():
                 for c in poly.coeffs:
                     d = c.denominator
                     assert d & (d - 1) == 0, (n, k, poly)
+
+
+def assert_integer_at_scale(polys, order, case):
+    for poly in polys:
+        for c in poly.coeffs:
+            assert (c * 2**order).denominator == 1, (case, order, poly)
+
+
+def test_every_order_is_an_integer_at_scale_two_to_the_order():
+    # the paper's "integer arithmetics": 2^o eps^(o) and 2^o W^(o) have
+    # integer coefficients, so the series needs no rational arithmetic;
+    # K = 14 only up to N = 15 keeps the grid near 5 s
+    for n in range(1, 31):
+        for k in range(5):
+            for max_order in (1, 4, 9, 14) if n <= 15 else (1, 4, 9):
+                _, res = run(n, k, max_order)
+                for order, row in enumerate(res.eps):
+                    assert_integer_at_scale(row, order, (n, k, max_order))
+    for n in range(1, 16):
+        for k in range(4):
+            _, res = run(n, k, 12)
+            for order, w in enumerate(res.w, start=1):
+                polys = [e for row in w.rows for e in row]
+                assert_integer_at_scale(polys, order, (n, k, 12))
+
+
+def test_a_remainder_off_the_scale_raises(monkeypatch):
+    # G2's -1 band off by one: W^(4) of N = 4 is no longer an integer at
+    # the scale 2^4, and the division says so instead of flooring
+    bands = rspt.perturbation_bands
+
+    def perturbed(n, k):
+        g1, g2 = bands(n, k)
+        g2[-1] = lambda i: (i - n) * (i - 1 + k) + 1
+        return g1, g2
+
+    monkeypatch.setattr(rspt, "perturbation_bands", perturbed)
+    split = perturbation_split(ModelParams(4, 0, Fraction(1), Fraction(1)))
+    with pytest.raises(ArithmeticError, match=r"W\^\(4\) leaves the scale 2\^4"):
+        perturbation_series(split, 8)
 
 
 @pytest.mark.parametrize("n", [7, 8])

@@ -58,10 +58,16 @@ MUTANTS = [
            "width = min(order, horizon - order)",
            "width = min(order, horizon - order) - 1", (GRID,)),
     Mutant("W divisor sign flipped", RSPT,
-           "Fraction(1, 2 * (j - i))", "Fraction(1, 2 * (i - j))", (GRID,)),
+           "divmod(c, 2 * (j - i))", "divmod(c, 2 * (i - j))", (GRID,)),
     Mutant("G1's u-shift taken at odd orders instead of even ones", RSPT,
-           "if not parity:\n                    r.insert(0, zero)",
-           "if parity:\n                    r.insert(0, zero)", (REFERENCE,)),
+           "if not parity:\n                    r.insert(0, 0)",
+           "if parity:\n                    r.insert(0, 0)", (REFERENCE,)),
+    Mutant("G1 term loses its factor 2", RSPT,
+           "r = [2 * c for c in _band_product(g1,",
+           "r = [c for c in _band_product(g1,", (GRID,)),
+    Mutant("nonzero remainder passes", RSPT,
+           "if any(rest for _, rest in qr):", "if False:",
+           ("tests/test_rspt.py::test_a_remainder_off_the_scale_raises",)),
     Mutant("odd.odd eps.W product loses its u-shift", RSPT,
            "_subtract_product(r, es[m], x, m % 2 & (order - m) % 2)",
            "_subtract_product(r, es[m], x, 0)", (REFERENCE,)),
@@ -70,8 +76,8 @@ MUTANTS = [
            "_recursion(split.n, split.k, max_order, 2 * max_order)",
            ("tests/test_rspt.py::test_window_covers_orders_clipped_by_max_order",)),
     Mutant("eps^(2) of state 0 gains t^2/2", RSPT,
-           "e = eps[order][j] = _in_t(r, parity)\n",
-           "e = eps[order][j] = _in_t(r, parity) + (TPoly((0, 0, Fraction(1, 2)))"
+           "e = eps[order][j] = _in_t(r, order)\n",
+           "e = eps[order][j] = _in_t(r, order) + (TPoly((0, 0, Fraction(1, 2)))"
            " if (order, j) == (2, 0) else 0)\n",
            ("tests/test_rspt.py::test_first_two_orders_closed_form",)),
     Mutant("G2 band +2 entry +1", RSPT,
