@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .exact import ExactMatrix
 from .kac import kac_involution
-from .model import ModelParams, perturbation_split, qes_coupling, qes_matrix
+from .model import ModelParams, qes_coupling, qes_matrix
 
 # ``oracle`` and ``rspt`` are imported inside the subcommands that run
 # them, so a call pays the start-up of the layers it uses only
@@ -256,7 +256,7 @@ def cmd_series(args) -> int:
     params = ModelParams(args.n, args.k, args.beta, args.gamma)
     if args.order < 0:
         raise ValueError("order K must be non-negative")
-    result = perturbation_series(perturbation_split(params), args.order)
+    result = perturbation_series(params, args.order)
     if args.format == "csv":  # the symbolic coefficients only
         rows = []
         for j in range(params.n):
@@ -327,7 +327,7 @@ def cmd_validate(args) -> int:
                              "same float64 logarithm")
     # one extra correction order so the partial sum is complete through
     # lambda^K and the first omitted term is O(lambda^(K+1))
-    result = perturbation_series(perturbation_split(params), args.order + 1)
+    result = perturbation_series(params, args.order + 1)
 
     table = []
     points = [[] for _ in range(params.n)]  # resolvable (D, err) per state

@@ -108,8 +108,6 @@ class PerturbationSplit(NamedTuple):
     h0: PolyDiagonals
     h1: PolyDiagonals
     h2: PolyDiagonals
-    n: int
-    k: int
 
 
 def qes_coupling(params: ModelParams, dim: Scalar) -> Fraction:
@@ -156,7 +154,7 @@ def perturbation_split(params: ModelParams) -> PerturbationSplit:
     h2_upper = tuple(TPoly.constant(-(m + 1) * (2 * m + 2 * k)) for m in range(n - 1))
     return PerturbationSplit(
         (h0_lower, zero_diag, h0_upper), (zero_off, h1_diag, zero_off),
-        (zero_off, zero_diag, h2_upper), n, k,
+        (zero_off, zero_diag, h2_upper),
     )
 
 

@@ -37,9 +37,9 @@ Wigner's 2n+1 rule): eps^(K)_j = R^(K)_jj reads W^(o) of column j only on
 the window |i - j| <= min(o, K - o), and the window is closed, because G1
 reaches one row per order, G2 two rows per two orders, and the sum stays
 on row i.  One row rule serves both results: column j of W^(o) is computed
-on the rows |i - j| <= min(o, H - o).  :func:`perturbation_series` takes
-H = K, the window, and keeps the energies; :attr:`SeriesResult.w` takes
-H = 2K, the whole band |i - j| <= o, and runs again on each access.
+on the rows |i - j| <= min(o, H - o).  :func:`perturbation_series` runs
+it with H = K, the window, and keeps the energies; :attr:`SeriesResult.w`
+runs it with H = 2K, the whole band |i - j| <= o, on each access.
 
 Half the states suffice.  With R = diag((-1)^i), R h0 R = -h0 (T is off
 the diagonal), R h1 R = h1 and R h2 R = -h2 (U is superdiagonal), so
@@ -84,7 +84,7 @@ class SeriesResult(NamedTuple):
     def w(self) -> tuple[ExactMatrix, ...]:
         n, zero = self.n, TPoly.zero()
         w = [[[zero] * n for _ in range(n)] for _ in range(self.max_order + 1)]
-        _recursion(n, self.k, self.max_order, 2 * self.max_order, w)
+        _recursion(n, self.k, self.max_order, w)
         return tuple(ExactMatrix(rows) for rows in w[1:])
 
 
@@ -145,15 +145,14 @@ def _in_t(cs: list, order: int) -> TPoly:
     return TPoly(coeffs)
 
 
-def _recursion(n: int, k: int, max_order: int, horizon: int,
-               w: list | None = None) -> list:
+def _recursion(n: int, k: int, max_order: int, w: list | None = None) -> list:
     """eps[order][j] = eps^(order)_j as TPoly, orders 0..max_order.
 
     The states j <= (n-1)/2 compute column j of W^(order), ints at the
-    scale 2^order, on the rows |i - j| <= min(order, horizon - order), and
-    each eps entry writes its mirror as it is computed.  Given ``w``,
-    nested lists w[order][i][j] of TPoly zeros, each computed W entry and
-    its mirror are written into it as TPoly; every other entry stays 0."""
+    scale 2^order, on the rows |i - j| <= min(order, H - order), H = K,
+    and each eps entry writes its mirror.  Given ``w``, nested lists of
+    TPoly zeros w[order][i][j], H = 2K and W is written into it as TPoly."""
+    horizon = max_order if w is None else 2 * max_order
     eps = [[TPoly.constant(e) for e in unperturbed_levels(n)]]
     eps += [[None] * n for _ in range(max_order)]
     g1, g2 = perturbation_bands(n, k)
@@ -200,12 +199,14 @@ def _recursion(n: int, k: int, max_order: int, horizon: int,
     return eps
 
 
-def perturbation_series(split: PerturbationSplit, max_order: int) -> SeriesResult:
-    """Energies through max_order from the energy window; purely rational."""
+def perturbation_series(params: ModelParams, max_order: int) -> SeriesResult:
+    """Energies of ``params``' n and k through max_order; purely rational."""
+    if not isinstance(params, ModelParams):
+        raise TypeError(f"the series takes ModelParams, not {type(params).__name__}")
     if not isinstance(max_order, int) or max_order < 0:
         raise ValueError("max_order must be a non-negative integer")
-    eps = _recursion(split.n, split.k, max_order, max_order)
-    return SeriesResult(n=split.n, k=split.k, max_order=max_order,
+    eps = _recursion(params.n, params.k, max_order)
+    return SeriesResult(n=params.n, k=params.k, max_order=max_order,
                         eps=tuple(map(tuple, eps)))
 
 

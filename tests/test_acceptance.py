@@ -11,7 +11,7 @@ from pathlib import Path
 
 from qes_sextic.exact import ExactMatrix, TPoly
 from qes_sextic.kac import kac_eigenvalues, kac_involution
-from qes_sextic.model import ModelParams, perturbation_split
+from qes_sextic.model import ModelParams
 from qes_sextic.oracle import qes_spectrum, truncated_spectrum
 from qes_sextic.rspt import (
     energy_coefficients,
@@ -81,7 +81,7 @@ def test_ac2_reference_involution_matrices():
 def test_ac3_two_state_energy_series():
     """AC-3: N=2 dimensionless coefficients through order 5, exact."""
     p = ModelParams(2, 0, Fraction(1), Fraction(1))
-    result = perturbation_series(perturbation_split(p), 5)
+    result = perturbation_series(p, 5)
     t = TPoly.t()
     expected_upper = [t, TPoly.constant(2), 2 * t, TPoly((0, 0, 1)),
                       TPoly.zero(), TPoly((0, 0, 0, 0, Fraction(-1, 4))),
@@ -106,7 +106,7 @@ def test_ac3_two_state_energy_series():
 def test_ac4_first_order_degeneracy_and_constraints():
     """AC-4: equal first-order corrections and zero constraint residuals."""
     p = ModelParams(2, 0, Fraction(1), Fraction(1))
-    result = perturbation_series(perturbation_split(p), 2)
+    result = perturbation_series(p, 2)
     t = TPoly.t()
     degenerate = result.eps[1][0] == t and result.eps[1][1] == t
     residual_minus, residual_plus = first_order_constraints(result)
@@ -128,7 +128,7 @@ def test_ac5_closed_form_oracle_to_order_twelve():
         return out
 
     p = ModelParams(2, 0, Fraction(1), Fraction(1))
-    result = perturbation_series(perturbation_split(p), 12)
+    result = perturbation_series(p, 12)
     failures = []
     for order in range(13):
         if order == 0:
@@ -162,7 +162,7 @@ def test_ac6_finite_dimension_convergence():
     for n in (3, 6):
         for k in (0, 2):
             p = ModelParams(n, k, Fraction(1), Fraction(1))
-            result = perturbation_series(perturbation_split(p), order + 1)
+            result = perturbation_series(p, order + 1)
             for j in range(n):
                 points = []
                 rel_at_largest = None
@@ -221,7 +221,7 @@ def test_ac8_exactness_and_determinism():
 
     # type-walk across every exact product of a representative run
     p = ModelParams(4, 1, Fraction(2), Fraction(3))
-    result = perturbation_series(perturbation_split(p), 5)
+    result = perturbation_series(p, 5)
     dec = kac_involution(4)
     scalars = []
 

@@ -228,7 +228,7 @@ def test_validate_note_does_not_blame_roundoff_for_a_coarse_tol():
 
 
 def test_series_and_validate_never_build_the_dense_w(monkeypatch, capsys):
-    from qes_sextic import cli
+    from qes_sextic import cli, model
     from qes_sextic.exact import ExactMatrix
 
     argvs = (["series", "-N", "6", "-k", "1", "-K", "10", "-D", "100,1000"],
@@ -239,9 +239,13 @@ def test_series_and_validate_never_build_the_dense_w(monkeypatch, capsys):
         expected.append(capsys.readouterr().out)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the CLI built a dense ExactMatrix")
+        raise AssertionError("the CLI built a dense ExactMatrix or a split")
 
     monkeypatch.setattr(ExactMatrix, "__init__", refuse)
+    # the series takes ModelParams; patching the record too makes the split
+    # raise under any name a module bound it to
+    monkeypatch.setattr(model, "perturbation_split", refuse)
+    monkeypatch.setattr(model, "PerturbationSplit", refuse)
     for argv, out in zip(argvs, expected):
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == out

@@ -249,6 +249,17 @@ def test_dimension_mismatch():
         ExactMatrix([[1, 2], [3]])
 
 
+def test_equal_matrices_hash_equal():
+    # scalar entries become constant TPolys, which hash as their scalars
+    scalars = ExactMatrix([[1, 0], [Fraction(1, 2), -3]])
+    polys = ExactMatrix([[TPoly.one(), TPoly.zero()],
+                         [TPoly.constant(Fraction(1, 2)), TPoly.constant(-3)]])
+    assert scalars == polys
+    assert hash(scalars) == hash(polys)
+    assert polys in {scalars}
+    assert ExactMatrix.diagonal([1, -3]) not in {scalars}
+
+
 def test_poly_entries_and_scaling():
     t = TPoly.t()
     m = ExactMatrix([[t, 1], [0, t * t]])

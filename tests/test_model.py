@@ -35,6 +35,11 @@ def test_parameter_validation():
         ModelParams(2, 0, Fraction(1), Fraction(0))
     with pytest.raises(TypeError):
         ModelParams(2, 0, 1.0, Fraction(1))
+    # the model's other size checks
+    with pytest.raises(ValueError, match="truncation size"):
+        general_matrix(0, params(2, 0), 3)
+    with pytest.raises(ValueError, match="rho"):
+        split_reassembly_residual(params(2, 0), 0)
 
 
 def test_exact_t_detection():
@@ -199,7 +204,7 @@ def test_energy_map_single_state_exact_solvability():
 
 def test_energy_map_rejects_bad_dimension():
     p = params(1, 0)
-    res = perturbation_series(perturbation_split(p), 2)
+    res = perturbation_series(p, 2)
     for d in (0, -1):
         with pytest.raises(ValueError):
             energy_series(res, 0, p, d)

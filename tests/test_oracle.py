@@ -454,6 +454,12 @@ def test_index_must_lie_within_the_spectrum(index):
                               index)
 
 
+@pytest.mark.parametrize("offdiag", [(), (0.5, 0.5), (0.5,) * 4])
+def test_offdiagonal_must_have_length_n_minus_one(offdiag):
+    with pytest.raises(ValueError, match="off-diagonal"):
+        bisection_eigenvalues((1.0, 2.0, 3.0, 4.0), offdiag)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
 def test_tolerance_must_be_finite_and_positive(tol):
     with pytest.raises(ValueError):

@@ -62,9 +62,10 @@ def test_records_keep_keyword_constructors_and_stay_immutable():
         (kac.KacDecomposition, dict(n=1, t_matrix=exact.ExactMatrix([[0]]), z=(0,),
                                     m=exact.ExactMatrix([[1]]), scale_pow=0)),
         (PerturbationSplit, dict(h0=((), (zero,), ()), h1=((), (TPoly.t(),), ()),
-                                 h2=((), (zero,), ()), n=1, k=0)),
+                                 h2=((), (zero,), ()))),
         (RadialWavefunction, dict(h=(1.0,), beta=1.0, gamma=2.0, ell=0.5)),
     ):
+        assert cls._fields == tuple(fields), cls
         record = cls(**fields)
         for name, value in fields.items():
             assert getattr(record, name) == value, (cls, name)

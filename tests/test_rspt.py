@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,12 +26,12 @@ from qes_sextic.rspt import (
 
 def run(n, k, order, beta=1, gamma=1):
     p = ModelParams(n, k, Fraction(beta), Fraction(gamma))
-    return p, perturbation_series(perturbation_split(p), order)
+    return p, perturbation_series(p, order)
 
 
 def conjugated_g(split):
     """G1 = P h1 P and G2 = P h2 P by the dense Kac conjugation."""
-    dec = kac_involution(split.n)
+    dec = kac_involution(len(split.h0[1]))
     return tuple(
         dec.conjugate(ExactMatrix.tridiagonal(*h)) for h in (split.h1, split.h2)
     )
@@ -39,7 +40,7 @@ def conjugated_g(split):
 def dense_series(split, max_order):
     """Reference: the recursion on dense n x n matrices with G from the Kac
     conjugation.  Returns (eps, w) laid out as in SeriesResult."""
-    n = split.n
+    n = len(split.h0[1])
     g1, g2 = conjugated_g(split)
     eps0 = unperturbed_levels(n)
     eps_rows = [tuple(TPoly.constant(e) for e in eps0)]
@@ -104,7 +105,7 @@ def test_series_needs_no_kac_conjugation_or_dense_product(monkeypatch):
 
 def test_window_covers_orders_clipped_by_max_order(monkeypatch):
     # n >= 2K + 1: every order above K/2 is clipped to K - o rows, not by n
-    split = perturbation_split(ModelParams(13, 1, Fraction(1), Fraction(1)))
+    p = ModelParams(13, 1, Fraction(1), Fraction(1))
     reach = []
     band_product = rspt._band_product
 
@@ -113,12 +114,12 @@ def test_window_covers_orders_clipped_by_max_order(monkeypatch):
         return band_product(bands, x, i, j)
 
     monkeypatch.setattr(rspt, "_band_product", spy)
-    res = perturbation_series(split, 6)
+    res = perturbation_series(p, 6)
     assert max(reach) == 3  # the energies' window, min(o, 6 - o)
     reach.clear()
     first = res.w
     assert max(reach) == 6  # the whole band, |i - j| <= o
-    eps, w = dense_series(split, 6)
+    eps, w = dense_series(perturbation_split(p), 6)
     assert res.eps == eps
     assert first == w
     assert res.w == first  # .w stores nothing
@@ -197,8 +198,9 @@ def test_correction_matrices_have_zero_diagonal():
 
 def test_order_identities_hold_in_original_basis():
     for n, k, max_order in ((5, 2, 6), (1, 0, 4), (2, 0, 6), (4, 3, 6), (7, 1, 5)):
-        split = perturbation_split(ModelParams(n, k, Fraction(1), Fraction(1)))
-        res = perturbation_series(split, max_order)
+        p = ModelParams(n, k, Fraction(1), Fraction(1))
+        split = perturbation_split(p)
+        res = perturbation_series(p, max_order)
         for order in range(1, max_order + 1):
             assert order_residual(split, res, order).is_zero
 
@@ -207,9 +209,8 @@ def test_recursion_residual_definition():
     # eps^(k) + W^(k) eps0 - eps0 W^(k) must reproduce R^(k) rebuilt from
     # scratch out of G1, G2 and the lower orders
     p = ModelParams(4, 1, Fraction(1), Fraction(1))
-    split = perturbation_split(p)
-    res = perturbation_series(split, 5)
-    g1, g2 = conjugated_g(split)
+    res = perturbation_series(p, 5)
+    g1, g2 = conjugated_g(perturbation_split(p))
     eps0 = ExactMatrix.diagonal(list(unperturbed_levels(4)))
     ws = [ExactMatrix.diagonal([1] * 4)] + list(res.w)
     for order in range(1, 6):
@@ -274,10 +275,10 @@ def test_series_equals_dense_reference_on_a_grid():
     # hypothesis test draws
     for n in range(1, 10):
         for k in (0, 3):
-            split = perturbation_split(
-                ModelParams(n, k, Fraction(1), Fraction(1)))
+            p = ModelParams(n, k, Fraction(1), Fraction(1))
+            split = perturbation_split(p)
             for max_order in (0, 1, 2, 5, 8):
-                res = perturbation_series(split, max_order)
+                res = perturbation_series(p, max_order)
                 eps, w = dense_series(split, max_order)
                 assert res.eps == eps, (n, k, max_order)
                 assert res.w == w, (n, k, max_order)
@@ -339,8 +340,7 @@ def test_series_equals_tpoly_reference_at_bench_shapes(n, k, max_order):
 
 
 def test_recursion_does_no_tpoly_arithmetic(monkeypatch):
-    _, expected = run(6, 2, 8)
-    split = perturbation_split(ModelParams(6, 2, Fraction(1), Fraction(1)))
+    p, expected = run(6, 2, 8)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the recursion did TPoly arithmetic")
@@ -348,7 +348,7 @@ def test_recursion_does_no_tpoly_arithmetic(monkeypatch):
     for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
                  "__truediv__"):
         monkeypatch.setattr(TPoly, name, refuse)
-    assert perturbation_series(split, 8).eps == expected.eps
+    assert perturbation_series(p, 8).eps == expected.eps
 
 
 def test_every_coefficient_is_dyadic():
@@ -399,9 +399,33 @@ def test_a_remainder_off_the_scale_raises(monkeypatch):
         return g1, g2
 
     monkeypatch.setattr(rspt, "perturbation_bands", perturbed)
-    split = perturbation_split(ModelParams(4, 0, Fraction(1), Fraction(1)))
+    p = ModelParams(4, 0, Fraction(1), Fraction(1))
     with pytest.raises(ArithmeticError, match=r"W\^\(4\) leaves the scale 2\^4"):
-        perturbation_series(split, 8)
+        perturbation_series(p, 8)
+
+
+@pytest.mark.parametrize("max_order", [-1, 1.5])
+def test_max_order_must_be_a_non_negative_integer(max_order):
+    with pytest.raises(ValueError, match="max_order"):
+        perturbation_series(ModelParams(2, 0, 1, 1), max_order)
+
+
+def test_series_takes_the_model_params_alone():
+    # a split, or any record with n and k, would skip ModelParams' checks
+    p = ModelParams(3, 1, 1, 1)
+    for other in (perturbation_split(p), SimpleNamespace(n=3, k=1)):
+        with pytest.raises(TypeError, match="ModelParams"):
+            perturbation_series(other, 2)
+
+
+def test_order_and_state_must_lie_within_the_series():
+    p, res = run(3, 1, 2)
+    for order in (0, 3):
+        with pytest.raises(IndexError, match=r"orders 1\.\.2"):
+            order_residual(perturbation_split(p), res, order)
+    for state in (-1, 3):
+        with pytest.raises(IndexError, match=r"state must be in 0\.\.2"):
+            energy_coefficients(res, state)
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -523,7 +547,7 @@ def test_series_approaches_oracle_with_expected_rate():
     for n, k, t0 in ((3, 0, Fraction(1, 2)), (5, 2, Fraction(1))):
         p = ModelParams(n, k, t0, Fraction(1, 2))  # sqrt(2*gamma) = 1
         assert p.exact_t() == t0
-        res = perturbation_series(perturbation_split(p), order + 1)
+        res = perturbation_series(p, order + 1)
         for j in range(n):
             errors = []
             for d in dims:

@@ -72,9 +72,12 @@ MUTANTS = [
            "_subtract_product(r, es[m], x, m % 2 & (order - m) % 2)",
            "_subtract_product(r, es[m], x, 0)", (REFERENCE,)),
     Mutant("energies run on the whole band", RSPT,
-           "_recursion(split.n, split.k, max_order, max_order)",
-           "_recursion(split.n, split.k, max_order, 2 * max_order)",
+           "horizon = max_order if w is None else 2 * max_order",
+           "horizon = 2 * max_order",
            ("tests/test_rspt.py::test_window_covers_orders_clipped_by_max_order",)),
+    Mutant("perturbation_series skips the ModelParams check", RSPT,
+           "if not isinstance(params, ModelParams):", "if False:",
+           ("tests/test_rspt.py::test_series_takes_the_model_params_alone",)),
     Mutant("eps^(2) of state 0 gains t^2/2", RSPT,
            "e = eps[order][j] = _in_t(r, order)\n",
            "e = eps[order][j] = _in_t(r, order) + (TPoly((0, 0, Fraction(1, 2)))"
