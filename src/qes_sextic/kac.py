@@ -5,9 +5,9 @@ The limiting eigenproblem is governed by a Kac-type tridiagonal matrix T
 integer arithmetic sequence -N+1, -N+3, ..., N-1.  Its eigenvector matrix
 P is an involution, P^2 = I; column j holds the coefficients of
 (1+x)^(N-1-j) * (1-x)^j, and P = M / 2^((N-1)/2) with M integer.  Storing
-(M, scale power) keeps P X P rational: the dense reference
-:meth:`KacDecomposition.conjugate` evaluates it as M X M / 2^(N-1), while
-the series uses the closed-form integer bands G1, G2 of :mod:`rspt`.
+M alone, whose size fixes the power, keeps P X P rational: the dense
+reference :meth:`KacDecomposition.conjugate` evaluates it as M X M / 2^(N-1),
+while the series uses the closed-form integer bands G1, G2 of :mod:`rspt`.
 """
 
 from __future__ import annotations
@@ -32,19 +32,19 @@ def kac_eigenvalues(n: int) -> tuple[int, ...]:
 
 
 class KacDecomposition(NamedTuple):
-    """Exact eigendecomposition of the Kac-type matrix.
+    """Exact eigendecomposition of the Kac-type matrix of size ``m.n``.
 
     ``m`` is the integer eigenvector matrix; the involution is
     ``m / 2^(scale_pow / 2)`` and satisfies ``m @ m == 2^scale_pow * I``.
-    Column j of ``m`` is a right eigenvector for eigenvalue ``z[j]`` and
-    row j a left eigenvector for the same value.
+    Column j of ``m`` is a right eigenvector of :func:`kac_matrix` for
+    ``kac_eigenvalues(m.n)[j]``, and row j a left one for the same value.
     """
 
-    n: int
-    t_matrix: ExactMatrix
-    z: tuple[int, ...]
     m: ExactMatrix
-    scale_pow: int
+
+    @property
+    def scale_pow(self) -> int:
+        return self.m.n - 1
 
     def conjugate(self, x: ExactMatrix) -> ExactMatrix:
         """Rational similarity P X P computed as M X M / 2^(n-1)."""
@@ -54,17 +54,11 @@ class KacDecomposition(NamedTuple):
 
 
 def kac_involution(n: int) -> KacDecomposition:
-    """Build the integer eigenvector matrix and its eigenvalue list."""
+    """Build the integer eigenvector matrix."""
     _check_size(n)
     columns = [_eigenvector_column(n, j) for j in range(n)]
     rows = [[columns[j][i] for j in range(n)] for i in range(n)]
-    return KacDecomposition(
-        n=n,
-        t_matrix=kac_matrix(n),
-        z=kac_eigenvalues(n),
-        m=ExactMatrix(rows),
-        scale_pow=n - 1,
-    )
+    return KacDecomposition(m=ExactMatrix(rows))
 
 
 def _eigenvector_column(n: int, j: int) -> list[int]:

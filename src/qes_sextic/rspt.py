@@ -65,7 +65,8 @@ from .model import ModelParams, PerturbationSplit
 
 
 class SeriesResult(NamedTuple):
-    """Energy corrections eps[order][state] for orders 0..max_order, exact.
+    """Energy corrections eps[order][state] for orders 0..max_order, exact;
+    ``n`` and ``max_order`` are read off the shape of ``eps``.
 
     ``w`` is derived on access: ``w[order-1]`` is the correction matrix
     W^(order), orders 1..max_order, as an :class:`ExactMatrix`, from a run
@@ -75,10 +76,16 @@ class SeriesResult(NamedTuple):
     exact reflection eps[order][n-1-j] = (-1)^(order+1) eps[order][j].
     """
 
-    n: int
     k: int
-    max_order: int
     eps: tuple[tuple[TPoly, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.eps[0])
+
+    @property
+    def max_order(self) -> int:
+        return len(self.eps) - 1
 
     @property
     def w(self) -> tuple[ExactMatrix, ...]:
@@ -206,8 +213,7 @@ def perturbation_series(params: ModelParams, max_order: int) -> SeriesResult:
     if not isinstance(max_order, int) or max_order < 0:
         raise ValueError("max_order must be a non-negative integer")
     eps = _recursion(params.n, params.k, max_order)
-    return SeriesResult(n=params.n, k=params.k, max_order=max_order,
-                        eps=tuple(map(tuple, eps)))
+    return SeriesResult(k=params.k, eps=tuple(map(tuple, eps)))
 
 
 def order_residual(

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from qes_sextic.exact import ExactMatrix, TPoly
-from qes_sextic.kac import kac_eigenvalues, kac_involution
+from qes_sextic.kac import kac_eigenvalues, kac_involution, kac_matrix
 from qes_sextic.model import ModelParams
 from qes_sextic.oracle import qes_spectrum, truncated_spectrum
 from qes_sextic.rspt import (
@@ -41,7 +41,7 @@ def test_ac1_equidistant_spectrum():
         dec = kac_involution(n)
         if dec.m @ dec.m != ExactMatrix.diagonal([2 ** (n - 1)] * n):
             failures.append(f"involution N={n}")
-        if dec.t_matrix @ dec.m != dec.m @ ExactMatrix.diagonal(list(dec.z)):
+        if kac_matrix(n) @ dec.m != dec.m @ ExactMatrix.diagonal(kac_eigenvalues(n)):
             failures.append(f"eigencolumns N={n}")
         if kac_eigenvalues(n) != tuple(range(n - 1, -n, -2)):
             failures.append(f"ladder N={n}")
@@ -239,7 +239,7 @@ def test_ac8_exactness_and_determinism():
     walk(result.eps)
     walk(result.w)
     walk(dec.m)
-    walk(dec.t_matrix)
+    walk(kac_matrix(4))
     if not scalars:
         failures.append("type walk found nothing")
     for scalar in scalars:

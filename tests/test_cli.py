@@ -41,6 +41,12 @@ def parse_poly(items):
     return TPoly([Fraction(s) for s in items])
 
 
+def failed_check_lines(checks):
+    # what a CSV run writes to stderr for the failed checks of its JSON twin
+    return [f"check {c['name']} failed: residual {c['residual']}"
+            for c in checks if not c["pass"]]
+
+
 def test_spectrum_two_state():
     out = run_cli("spectrum", "-N", "2", "-k", "0",
                   "--beta", "1", "--gamma", "1", "-D", "3", "--show-matrix")
@@ -97,6 +103,29 @@ def test_spectrum_csv():
     lines = out.stdout.strip().splitlines()
     assert lines[0] == "state,eigenvalue"
     assert len(lines) == 3
+
+
+def test_spectrum_csv_names_a_failed_embedding_check(monkeypatch, capsys):
+    # a general spectrum that misses one QES eigenvalue fails the embedding
+    # check; the CSV table stays that of a passing run
+    from qes_sextic import cli, oracle
+
+    argv = ["spectrum", "-N", "4", "-k", "1", "-D", "5", "--general", "30"]
+    assert cli.main(argv + ["--format", "csv"]) == 0
+    passing = capsys.readouterr()
+    assert passing.err == ""
+    params = ModelParams(4, 1, 1, 1)
+    missed = oracle.qes_spectrum(params, 5)[2]
+    general = oracle.truncated_spectrum(params, 5, 30)
+    general.remove(min(general, key=lambda g: abs(g - missed)))
+    monkeypatch.setattr(oracle, "truncated_spectrum", lambda *args: general)
+    assert cli.main(argv) == 1
+    lines = failed_check_lines(json.loads(capsys.readouterr().out)["checks"])
+    assert len(lines) == 1 and "embedding" in lines[0]
+    assert cli.main(argv + ["--format", "csv"]) == 1
+    out = capsys.readouterr()
+    assert out.out == passing.out
+    assert out.err.splitlines() == lines
 
 
 def test_spectrum_csv_ignores_show_matrix():
@@ -183,6 +212,29 @@ def test_validate_passes_for_six_states():
     for slope in doc["numeric"]["slopes"]:
         assert slope == pytest.approx(-3.5, abs=0.7)
     assert out.returncode == 0
+
+
+@pytest.mark.parametrize("args", [
+    ("-N", "4", "-k", "1", "-K", "4", "-D", "10000,100,1000"),
+    # a known false failure of the slope check (ROADMAP item 4)
+    ("-N", "3", "-K", "0", "-D", "100,1000,10000"),
+])
+def test_validate_csv_is_the_json_table(args):
+    doc_run = run_cli("validate", *args, check=False)
+    csv_run = run_cli("validate", *args, "--format", "csv", check=False)
+    assert csv_run.returncode == doc_run.returncode
+    doc = json.loads(doc_run.stdout)
+    lines = csv_run.stdout.splitlines()
+    assert lines[0] == "state,D,series,oracle,abs_error,rel_error"
+    rows = [line.split(",") for line in lines[1:]]
+    n = int(args[1])
+    assert [(int(r[0]), float(r[1])) for r in rows] == [
+        (j, d) for d in sorted(float(d) for d in args[-1].split(","))
+        for j in range(n)]
+    assert [[float(x) for x in r[2:]] for r in rows] == [
+        [row[key] for key in ("series", "oracle", "abs_error", "rel_error")]
+        for row in doc["numeric"]["rows"]]
+    assert csv_run.stderr.splitlines() == failed_check_lines(doc["checks"])
 
 
 def test_validate_single_state_is_exact():
@@ -287,11 +339,20 @@ def test_pmatrix_checks_fail_on_a_wrong_entry(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "kac_involution", off_by_one)
     assert cli.main(["pmatrix", "-N", "4"]) == 1
-    checks = json.loads(capsys.readouterr().out)["checks"]
+    out = capsys.readouterr()
+    assert out.err == ""
+    doc = json.loads(out.out)
+    checks = doc["checks"]
     assert [c["name"] for c in checks] == ["involution", "eigencolumns"]
     for check in checks:
         assert check["pass"] is False
         assert int(check["residual"]) > 0
+    # CSV prints the table as always and names each failed check on stderr
+    assert cli.main(["pmatrix", "-N", "4", "--format", "csv"]) == 1
+    out = capsys.readouterr()
+    assert out.out.splitlines() == (
+        ["c0,c1,c2,c3"] + [",".join(row) for row in doc["exact"]["M"]])
+    assert out.err.splitlines() == failed_check_lines(checks)
 
 
 def test_wavefunction_sampling():
@@ -388,6 +449,8 @@ def test_model_beyond_float64_is_one_line_error(args, words):
     (("spectrum", "-D", "10"), ("required", "-N")),
     (("series", "-N", "2", "--format", "xml"), ("argument --format", "xml")),
     (("pmatrix", "-N", "2", "--bogus"), ("unrecognized", "--bogus")),
+    (("validate", "-N", "2", "-D", ","), ("at least one dimension",)),
+    (("validate", "-N", "2", "-D", "100,100"), ("D=100", "more than once")),
     # the eigenvector's eigenvalue is bisected at one fixed tolerance
     (("wavefunction", "-N", "5", "-D", "10", "--state", "2", "--tol", "1e-9"),
      ("unrecognized", "--tol")),

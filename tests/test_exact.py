@@ -193,6 +193,13 @@ def test_poly_string_round_trip():
         assert TPoly([Fraction(s) for s in p.to_strings()]) == p
 
 
+def test_poly_str_and_equality_with_a_non_number():
+    assert str(TPoly((0, -1))) == "-t"
+    assert str(TPoly((1, 0, -1))) == "1 - t^2"
+    assert (TPoly.t() == "t") is False
+    assert (ExactMatrix([[1]]) == [[1]]) is False
+
+
 # ---------------------------------------------------------------------------
 # matrices
 

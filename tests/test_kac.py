@@ -96,7 +96,7 @@ def test_reference_eigenvector_matrices():
 
 def test_explicit_column_is_eigenvector():
     dec = kac_involution(3)
-    t = dec.t_matrix
+    t = kac_matrix(3)
     col = [dec.m[i, 0] for i in range(3)]
     assert [e.coefficient(0) for e in col] == [1, 2, 1]
     image = [
@@ -121,8 +121,8 @@ def test_decomposition_identities_exact(n):
             assert square[i][j] == (expected if i == j else 0)
             assert m[i][j] == int(m[i][j])  # integer entries
 
-    t = [[e.coefficient(0) for e in row] for row in dec.t_matrix.rows]
-    z = dec.z
+    t = [[e.coefficient(0) for e in row] for row in kac_matrix(n).rows]
+    z = kac_eigenvalues(n)
     for i in range(n):
         for j in range(n):
             right = sum(t[i][k] * m[k][j] for k in range(n))

@@ -50,17 +50,17 @@ def test_records_keep_keyword_constructors_and_stay_immutable():
     m = oracle.TridiagonalReal(diag=(1.0, 2.0), lower=(0.5,), upper=(0.5,))
     with pytest.raises(ValueError):
         oracle.TridiagonalReal(diag=(1.0, 2.0), lower=(), upper=(0.5,))
-    for record, attribute in ((p, "beta"), (m, "diag"),
-                              (kac.kac_involution(2), "m")):
+    for record, attribute in ((p, "beta"), (m, "diag"), (kac.kac_involution(2), "m"),
+                              (TPoly.t(), "coeffs"),
+                              (exact.ExactMatrix([[1]]), "rows")):
         with pytest.raises(AttributeError):
             setattr(record, attribute, None)
     # the plain records: keyword constructors, a repr naming every field,
     # no assignment to any field
     zero = TPoly.zero()
     for cls, fields in (
-        (rspt.SeriesResult, dict(n=1, k=0, max_order=0, eps=((zero,),))),
-        (kac.KacDecomposition, dict(n=1, t_matrix=exact.ExactMatrix([[0]]), z=(0,),
-                                    m=exact.ExactMatrix([[1]]), scale_pow=0)),
+        (rspt.SeriesResult, dict(k=0, eps=((zero,),))),
+        (kac.KacDecomposition, dict(m=exact.ExactMatrix([[1]]))),
         (PerturbationSplit, dict(h0=((), (zero,), ()), h1=((), (TPoly.t(),), ()),
                                  h2=((), (zero,), ()))),
         (RadialWavefunction, dict(h=(1.0,), beta=1.0, gamma=2.0, ell=0.5)),
@@ -72,3 +72,20 @@ def test_records_keep_keyword_constructors_and_stay_immutable():
             assert f"{name}={value!r}" in repr(record), (cls, name)
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
+
+
+def test_records_hold_no_field_their_others_determine():
+    # the shape of eps and the size of M are read off, never stored, so a
+    # _replace cannot build a record that disagrees with itself
+    result = rspt.perturbation_series(ModelParams(2, 0, 1, 1), 2)
+    dec = kac.kac_involution(3)
+    for record, name in ((result, "n"), (result, "max_order"), (dec, "n"),
+                         (dec, "t_matrix"), (dec, "z"), (dec, "scale_pow")):
+        with pytest.raises(ValueError):
+            record._replace(**{name: 0})
+    for n in range(1, 9):
+        assert kac.kac_involution(n).scale_pow == n - 1
+        for k in range(3):
+            for order in range(7):
+                result = rspt.perturbation_series(ModelParams(n, k, 1, 1), order)
+                assert (result.n, result.k, result.max_order) == (n, k, order)

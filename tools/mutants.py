@@ -42,6 +42,9 @@ class Mutant(NamedTuple):
 RSPT = "src/qes_sextic/rspt.py"
 ORACLE = "src/qes_sextic/oracle.py"
 EXACT = "src/qes_sextic/exact.py"
+KAC = "src/qes_sextic/kac.py"
+CLI = "src/qes_sextic/cli.py"
+RECORDS = "tests/test_package.py::test_records_hold_no_field_their_others_determine"
 GRID = "tests/test_rspt.py::test_series_equals_dense_reference_on_a_grid"
 REFERENCE = "tests/test_rspt.py::test_series_equals_tpoly_reference_at_bench_shapes"
 
@@ -87,6 +90,16 @@ MUTANTS = [
            "2: lambda i: -(i + 1) * (i + 2) // 2,",
            "2: lambda i: -(i + 1) * (i + 2) // 2 + 1,",
            ("tests/test_rspt.py::test_order_identities_hold_in_original_basis",)),
+    Mutant("series records one order too many", RSPT,
+           "return len(self.eps) - 1", "return len(self.eps)", (RECORDS,)),
+    Mutant("series records its orders as its states", RSPT,
+           "return len(self.eps[0])", "return len(self.eps)", (RECORDS,)),
+    Mutant("involution scale power one too large", KAC,
+           "return self.m.n - 1", "return self.m.n",
+           ("tests/test_kac.py::test_conjugation_is_rational_similarity",)),
+    Mutant("CSV run hides the failed checks", CLI,
+           'if fmt == "csv":', "if False:",
+           ("tests/test_cli.py::test_validate_csv_is_the_json_table",)),
     Mutant("TPoly keeps trailing zeros", EXACT,
            "        while cs and cs[-1] == 0:\n            cs.pop()\n", "",
            ("tests/test_exact.py",)),
