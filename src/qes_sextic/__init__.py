@@ -35,7 +35,6 @@ _EXPORTS = {
         "qes_spectrum",
         "radial_wavefunction",
         "symmetrize",
-        "tridiagonal_spectrum",
         "truncated_spectrum",
     ),
     "rspt": (

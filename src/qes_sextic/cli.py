@@ -167,25 +167,24 @@ def main(argv=None) -> int:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _emit_json(doc) -> None:
-    sys.stdout.write(
-        json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
-
-
-def _emit_csv(header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
-
-
-def _exit_code(checks, fmt: str) -> int:
+def _report(fmt: str, checks, header, rows, document) -> int:
+    """Writes a run's output and returns its exit status, 1 if a check
+    failed, else 0.  CSV is the header and rows, which hold no checks, so
+    each failed one gets a stderr line; JSON is ``document()`` with the
+    checks added.  Only the chosen format is built."""
     failed = [c for c in checks if not c["pass"]]
-    if fmt == "csv":  # the table holds no checks: name the failed ones
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        sys.stdout.write(buf.getvalue())
         for c in failed:
             print(f"check {c['name']} failed: residual {c['residual']}",
                   file=sys.stderr)
+    else:
+        sys.stdout.write(json.dumps({**document(), "checks": checks}, indent=2,
+                                    sort_keys=True, allow_nan=False) + "\n")
     return 1 if failed else 0
 
 
@@ -231,22 +230,17 @@ def cmd_spectrum(args) -> int:
             {"name": "embedding", "pass": worst <= EMBEDDING_RTOL, "residual": worst}
         )
 
-    if args.format == "csv":
-        _emit_csv(["state", "eigenvalue"],
-                  [(i, repr(v)) for i, v in enumerate(eigenvalues)])
-    else:
+    def document():
         exact = {"coupling_a": str(coupling)}
         if args.show_matrix:
             exact["matrix"] = ExactMatrix.tridiagonal(
                 *qes_matrix(params, dim)
             ).to_rational_strings()
-        _emit_json({
-            "params": _params_doc(params, D=str(dim)),
-            "exact": exact,
-            "numeric": numeric,
-            "checks": checks,
-        })
-    return _exit_code(checks, args.format)
+        return {"params": _params_doc(params, D=str(dim)), "exact": exact,
+                "numeric": numeric}
+
+    return _report(args.format, checks, ["state", "eigenvalue"],
+                   ((i, repr(v)) for i, v in enumerate(eigenvalues)), document)
 
 
 def cmd_series(args) -> int:
@@ -256,55 +250,50 @@ def cmd_series(args) -> int:
     if args.order < 0:
         raise ValueError("order K must be non-negative")
     result = perturbation_series(params, args.order)
-    if args.format == "csv":  # the symbolic coefficients only
-        rows = []
+
+    def document():
+        t_sub = args.t_value if args.t_value is not None else params.exact_t()
+        states, substituted = [], []
         for j in range(params.n):
-            for power, coeff in enumerate(energy_coefficients(result, j)):
-                rows.append((j, power - 2, " ".join(coeff.to_strings()) or "0"))
-        _emit_csv(["state", "lambda_power", "coefficients"], rows)
-        return 0
-
-    t_sub = args.t_value if args.t_value is not None else params.exact_t()
-    states, substituted = [], []
-    for j in range(params.n):
-        coeffs = energy_coefficients(result, j)
-        eps = [result.eps[order][j] for order in range(args.order + 1)]
-        states.append({
-            "state": j,
-            "energy_coefficients": [c.to_strings() for c in coeffs],
-            "eps": [e.to_strings() for e in eps],
-        })
-        if t_sub is not None:
-            substituted.append({
+            coeffs = energy_coefficients(result, j)
+            eps = [result.eps[order][j] for order in range(args.order + 1)]
+            states.append({
                 "state": j,
-                "energy_coefficients": [str(c.evaluate(t_sub)) for c in coeffs],
-                "eps": [str(e.evaluate(t_sub)) for e in eps],
+                "energy_coefficients": [c.to_strings() for c in coeffs],
+                "eps": [e.to_strings() for e in eps],
             })
-    exact = {"t_symbolic": "beta/sqrt(2*gamma)", "states": states}
-    if t_sub is not None:
-        exact["at_t"] = {"t": str(t_sub), "states": substituted}
+            if t_sub is not None:
+                substituted.append({
+                    "state": j,
+                    "energy_coefficients": [str(c.evaluate(t_sub)) for c in coeffs],
+                    "eps": [str(e.evaluate(t_sub)) for e in eps],
+                })
+        exact = {"t_symbolic": "beta/sqrt(2*gamma)", "states": states}
+        if t_sub is not None:
+            exact["at_t"] = {"t": str(t_sub), "states": substituted}
+        doc = {"params": _params_doc(params, K=args.order), "exact": exact}
+        if args.dims:
+            evaluations = []
+            t_float = float(t_sub) if args.t_value is not None else None
+            for dim in args.dims:
+                values = [
+                    energy_series(result, j, params, dim, t_value=t_float)
+                    for j in range(params.n)
+                ]
+                evaluations.append({
+                    "D": str(dim),
+                    "lambda": 1.0 / math.sqrt(float(dim)),
+                    "energies": values,
+                })
+            doc["numeric"] = {"dtype": "float64", "evaluations": evaluations}
+        return doc
 
-    doc = {
-        "params": _params_doc(params, K=args.order),
-        "exact": exact,
-        "checks": [],
-    }
-    if args.dims:
-        evaluations = []
-        t_float = float(t_sub) if args.t_value is not None else None
-        for dim in args.dims:
-            values = [
-                energy_series(result, j, params, dim, t_value=t_float)
-                for j in range(params.n)
-            ]
-            evaluations.append({
-                "D": str(dim),
-                "lambda": 1.0 / math.sqrt(float(dim)),
-                "energies": values,
-            })
-        doc["numeric"] = {"dtype": "float64", "evaluations": evaluations}
-    _emit_json(doc)
-    return 0
+    # the CSV table holds the symbolic coefficients only
+    rows = ((j, power - 2, " ".join(c.to_strings()) or "0")
+            for j in range(params.n)
+            for power, c in enumerate(energy_coefficients(result, j)))
+    return _report(args.format, [], ["state", "lambda_power", "coefficients"],
+                   rows, document)
 
 
 def cmd_validate(args) -> int:
@@ -385,22 +374,15 @@ def cmd_validate(args) -> int:
             "slope": slope,
         })
 
-    doc = {
+    header = ["state", "D", "series", "oracle", "abs_error", "rel_error"]
+    rows = ((r["state"], r["D"], repr(r["series"]), repr(r["oracle"]),
+             repr(r["abs_error"]), repr(r["rel_error"])) for r in table)
+    return _report(args.format, checks, header, rows, lambda: {
         "params": _params_doc(params, K=args.order,
                               D=[str(d) for d in dims]),
         "exact": {"slope_target": target},
         "numeric": {"dtype": "float64", "rows": table, "slopes": slopes},
-        "checks": checks,
-    }
-    if args.format == "csv":
-        _emit_csv(
-            ["state", "D", "series", "oracle", "abs_error", "rel_error"],
-            [(r["state"], r["D"], repr(r["series"]), repr(r["oracle"]),
-              repr(r["abs_error"]), repr(r["rel_error"])) for r in table],
-        )
-    else:
-        _emit_json(doc)
-    return _exit_code(checks, args.format)
+    })
 
 
 def _loglog_slope(xs: list[float], ys: list[float]) -> float:
@@ -435,20 +417,15 @@ def cmd_pmatrix(args) -> int:
         )
     ]
     m_strings = [[str(e) for e in row] for row in m]
-    doc = {
+    header = [f"c{j}" for j in range(n)]
+    return _report(args.format, checks, header, m_strings, lambda: {
         "params": {"N": n},
         "exact": {
             "M": m_strings,
             "scalePow": dec.scale_pow,
             "Z": [str(v) for v in z],
         },
-        "checks": checks,
-    }
-    if args.format == "csv":
-        _emit_csv([f"c{j}" for j in range(n)], m_strings)
-    else:
-        _emit_json(doc)
-    return _exit_code(checks, args.format)
+    })
 
 
 def cmd_wavefunction(args) -> int:
@@ -463,8 +440,8 @@ def cmd_wavefunction(args) -> int:
     if not any(psi):
         raise ValueError(f"psi of state {args.state} underflows to 0 at every "
                          "sample: below the float64 range")
-    _emit_csv(["r", "psi"], [(repr(r), repr(v)) for r, v in zip(radii, psi)])
-    return 0
+    return _report("csv", [], ["r", "psi"],
+                   ((repr(r), repr(v)) for r, v in zip(radii, psi)), None)
 
 
 if __name__ == "__main__":

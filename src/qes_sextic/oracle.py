@@ -350,22 +350,6 @@ def _ql_eigenvalues(diag, off_sq) -> list[float] | None:
     return found
 
 
-def tridiagonal_spectrum(m: TridiagonalReal, tol: float = 1e-12) -> list[float]:
-    """Spectrum of an asymmetric real tridiagonal matrix with
-    non-negative off-diagonal products.
-
-    Rows where lower*upper vanishes decouple the matrix into irreducible
-    blocks whose spectra simply concatenate, which is exactly the
-    situation the terminating coupling produces; each block is then
-    symmetrized and bisected.  A negative product raises, since the
-    spectrum need not be real.
-    """
-    values: list[float] = []
-    for block in _irreducible_blocks(m):
-        values.extend(bisection_eigenvalues(*symmetrize(block), tol))
-    return sorted(values)
-
-
 def _irreducible_blocks(m: TridiagonalReal):
     """The diagonal blocks of m between the rows where lower*upper
     vanishes, in order."""
@@ -447,9 +431,9 @@ def _fix_sign(vec: list[float]) -> list[float]:
 
 
 def qes_spectrum(params: ModelParams, dim, tol: float = 1e-12) -> list[float]:
-    """Eigenvalues of the terminating n x n block, ascending."""
-    matrix = TridiagonalReal.from_exact(qes_matrix(params, dim))
-    return tridiagonal_spectrum(matrix, tol)
+    """Eigenvalues of the terminating n x n block, ascending: the
+    truncation at n rows, whose off-diagonal products are all positive."""
+    return truncated_spectrum(params, dim, params.n, tol)
 
 
 def truncated_spectrum(
@@ -460,13 +444,14 @@ def truncated_spectrum(
 ) -> list[float]:
     """Real eigenvalues of the n_trunc-truncated un-terminated matrix.
 
-    With the terminating coupling the subdiagonal vanishes exactly at
-    the block-size row, so the matrix decouples and its
-    spectrum contains the whole QES spectrum.  Beyond that row the
-    subdiagonal changes sign, making the tail block non-symmetrizable:
-    its eigenvalues are largely complex truncation artifacts of an
-    unbounded recursion and are omitted here.  Only decoupled blocks
-    with positive off-diagonal products contribute, each bisected whole.
+    Rows where lower*upper vanishes decouple it into blocks.  With the
+    terminating coupling the subdiagonal vanishes exactly at the
+    block-size row, so its spectrum contains the whole QES spectrum.
+    Beyond that row the subdiagonal changes sign, making the tail block
+    non-symmetrizable: its eigenvalues are largely complex truncation
+    artifacts of an unbounded recursion and are omitted here.  Only
+    blocks with positive off-diagonal products contribute, each bisected
+    whole.
     """
     matrix = TridiagonalReal.from_exact(general_matrix(n_trunc, params, dim))
     blocks = [b for b in _irreducible_blocks(matrix)

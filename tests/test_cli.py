@@ -47,6 +47,21 @@ def failed_check_lines(checks):
             for c in checks if not c["pass"]]
 
 
+def patch_general(monkeypatch, general):
+    # the --general truncation returns ``general``; qes_spectrum, the
+    # truncation at N rows, is left as it is
+    from qes_sextic import oracle
+
+    truncated = oracle.truncated_spectrum
+
+    def patched(params, dim, n_trunc, tol=1e-12):
+        if n_trunc == params.n:
+            return truncated(params, dim, n_trunc, tol)
+        return general
+
+    monkeypatch.setattr(oracle, "truncated_spectrum", patched)
+
+
 def test_spectrum_two_state():
     out = run_cli("spectrum", "-N", "2", "-k", "0",
                   "--beta", "1", "--gamma", "1", "-D", "3", "--show-matrix")
@@ -88,7 +103,7 @@ def test_embedding_deviations_are_to_the_nearest_general_eigenvalue(
                      + [v * (1 + (-1) ** i * 1e-9 * (i + 1))
                         for i, v in enumerate(spectrum)]
                      + [0.5 * (a + b) for a, b in zip(spectrum, spectrum[1:])])
-    monkeypatch.setattr(oracle, "truncated_spectrum", lambda *args: general)
+    patch_general(monkeypatch, general)
     assert cli.main(["spectrum", "-N", "6", "-k", "1", "--beta", "1/2",
                      "--gamma", "3", "-D", "5", "--general", "40"]) == 0
     numeric = json.loads(capsys.readouterr().out)["numeric"]
@@ -118,7 +133,7 @@ def test_spectrum_csv_names_a_failed_embedding_check(monkeypatch, capsys):
     missed = oracle.qes_spectrum(params, 5)[2]
     general = oracle.truncated_spectrum(params, 5, 30)
     general.remove(min(general, key=lambda g: abs(g - missed)))
-    monkeypatch.setattr(oracle, "truncated_spectrum", lambda *args: general)
+    patch_general(monkeypatch, general)
     assert cli.main(argv) == 1
     lines = failed_check_lines(json.loads(capsys.readouterr().out)["checks"])
     assert len(lines) == 1 and "embedding" in lines[0]
@@ -128,12 +143,21 @@ def test_spectrum_csv_names_a_failed_embedding_check(monkeypatch, capsys):
     assert out.err.splitlines() == lines
 
 
-def test_spectrum_csv_ignores_show_matrix():
-    plain = run_cli_bytes("spectrum", "-N", "3", "-k", "1", "--beta", "3/2",
-                          "-D", "7/2", "--format", "csv")
-    shown = run_cli_bytes("spectrum", "-N", "3", "-k", "1", "--beta", "3/2",
-                          "-D", "7/2", "--format", "csv", "--show-matrix")
-    assert shown == plain
+def test_spectrum_csv_ignores_show_matrix(monkeypatch, capsys):
+    # the table is that of a plain run, and no matrix is built for it
+    from qes_sextic import cli
+    from qes_sextic.exact import ExactMatrix
+
+    def refuse(*args):
+        raise AssertionError("a CSV run built the --show-matrix table")
+
+    argv = ["spectrum", "-N", "3", "-k", "1", "--beta", "3/2", "-D", "7/2",
+            "--format", "csv"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr()
+    monkeypatch.setattr(ExactMatrix, "tridiagonal", refuse)
+    assert cli.main(argv + ["--show-matrix"]) == 0
+    assert capsys.readouterr() == plain
 
 
 def test_series_csv_does_not_evaluate_dimensions():

@@ -171,7 +171,7 @@ def test_reassembled_split_reproduces_numeric_spectrum():
     # fixes all sign conventions: assemble h0 + lam*h1 + lam^2*h2 at
     # D=100, map eigenvalues through the energy formula and compare with
     # the spectrum of the physical matrix
-    from qes_sextic.oracle import TridiagonalReal, tridiagonal_spectrum
+    from qes_sextic.oracle import TridiagonalReal, bisection_eigenvalues, symmetrize
 
     p = params(4, 0)
     d = 100
@@ -185,8 +185,8 @@ def test_reassembled_split_reproduces_numeric_spectrum():
         a.evaluate_float(t0) + b.evaluate_float(t0) * lam * lam
         for a, b in zip(s.h0[2], s.h2[2])
     ]
-    eps_values = tridiagonal_spectrum(
-        TridiagonalReal(tuple(diag), tuple(lower), tuple(upper))
+    eps_values = bisection_eigenvalues(
+        *symmetrize(TridiagonalReal(tuple(diag), tuple(lower), tuple(upper)))
     )
     # E = beta*D + 2*sqrt(2*gamma*D)*eps
     scale = 2.0 * math.sqrt(2.0 * float(p.gamma) * d)

@@ -17,7 +17,6 @@ from qes_sextic.oracle import (
     qes_spectrum,
     radial_wavefunction,
     symmetrize,
-    tridiagonal_spectrum,
     truncated_spectrum,
 )
 
@@ -61,7 +60,7 @@ def test_bisection_two_by_two():
 
 def test_bisection_on_limit_matrix():
     m = kac_tridiagonal(4)
-    values = tridiagonal_spectrum(m, 1e-12)
+    values = bisection_eigenvalues(*symmetrize(m), 1e-12)
     for got, want in zip(values, (-3.0, -1.0, 1.0, 3.0)):
         assert got == pytest.approx(want, abs=1e-11)
 
@@ -476,23 +475,20 @@ def test_spectrum_is_simple_for_model_matrices():
 
 
 def test_block_splitting_at_zero_coupling():
-    # lower*upper == 0 decouples the spectrum into blocks
+    # lower*upper == 0 decouples the matrix into blocks
     m = TridiagonalReal(
         diag=(1.0, 2.0, 10.0, 11.0),
         lower=(0.5, 0.0, 0.5),
         upper=(0.5, 3.0, 0.5),
     )
-    got = tridiagonal_spectrum(m, 1e-12)
-    upper_left = bisection_eigenvalues((1.0, 2.0), (0.5,), 1e-12)
-    lower_right = bisection_eigenvalues((10.0, 11.0), (0.5,), 1e-12)
-    for a, b in zip(got, sorted(upper_left + lower_right)):
-        assert a == pytest.approx(b, abs=1e-11)
+    assert [(b.diag, b.lower, b.upper) for b in oracle._irreducible_blocks(m)] == [
+        ((1.0, 2.0), (0.5,), (0.5,)), ((10.0, 11.0), (0.5,), (0.5,))]
 
 
-def test_tridiagonal_spectrum_rejects_negative_products():
+def test_symmetrize_rejects_a_negative_superdiagonal_product():
     m = TridiagonalReal(diag=(0.0, 0.0), lower=(1.0,), upper=(-1.0,))
     with pytest.raises(ValueError):
-        tridiagonal_spectrum(m)
+        symmetrize(m)
 
 
 @pytest.mark.parametrize("n,k,beta,gamma,dim", [
@@ -505,7 +501,9 @@ def test_truncated_spectrum_blocks(n, k, beta, gamma, dim):
     # where the 1x1 tail block beta*(4n+2k+D) beyond the zero at row n
     # is symmetric too and adds its bisected entry
     p = ModelParams(n, k, Fraction(beta), Fraction(gamma))
-    want = qes_spectrum(p, dim)
+    want = bisection_eigenvalues(
+        *symmetrize(TridiagonalReal.from_exact(qes_matrix(p, dim))))
+    assert _hex(qes_spectrum(p, dim)) == _hex(want)
     for n_trunc in (n, n + 2, n + 40):
         assert _hex(truncated_spectrum(p, dim, n_trunc)) == _hex(want), n_trunc
     rest = truncated_spectrum(p, dim, n + 1)
@@ -514,6 +512,20 @@ def test_truncated_spectrum_blocks(n, k, beta, gamma, dim):
         rest.remove(value)
     assert rest == [pytest.approx(float(p.beta * (4 * n + 2 * k + dim)),
                                   rel=1e-9)]
+
+
+def test_qes_spectrum_of_a_matrix_that_splits():
+    # at gamma = D = 1e-200 the first off-diagonal product underflows to
+    # 0.0, so the QES matrix splits into blocks of 1 and 5 rows; every
+    # eigenvalue lies within tol of its diagonal entry beta*(4m + D)
+    tiny = Fraction(1, 10 ** 200)
+    p = ModelParams(6, 0, Fraction(1), tiny)
+    m = TridiagonalReal.from_exact(qes_matrix(p, tiny))
+    assert [b.n for b in oracle._irreducible_blocks(m)] == [1, 5]
+    values = qes_spectrum(p, tiny, 1e-12)
+    assert len(values) == 6 and values == sorted(values)
+    for row, value in enumerate(values):
+        assert abs(value - float(p.beta * (4 * row + tiny))) <= 1e-12
 
 
 def test_characteristic_polynomial_preserved_by_symmetrization():
@@ -762,7 +774,7 @@ def _check_against_dense_reference(p: ModelParams, dim, states):
     # the one-pass eigenvector meets the residual bound on the asymmetric
     # matrix, and equals the reference up to sign wherever that converges
     m = TridiagonalReal.from_exact(qes_matrix(p, dim))
-    values = tridiagonal_spectrum(m)
+    values = qes_spectrum(p, dim)
     for state in states:
         vec = inverse_iteration(m, values[state])
         assert all(math.isfinite(v) for v in vec)

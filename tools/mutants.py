@@ -98,8 +98,16 @@ MUTANTS = [
            "return self.m.n - 1", "return self.m.n",
            ("tests/test_kac.py::test_conjugation_is_rational_similarity",)),
     Mutant("CSV run hides the failed checks", CLI,
-           'if fmt == "csv":', "if False:",
+           "for c in failed:", "for c in ():",
            ("tests/test_cli.py::test_validate_csv_is_the_json_table",)),
+    Mutant("report exits 0 on a failed check", CLI,
+           "return 1 if failed else 0", "return 0",
+           ("tests/test_cli.py::test_pmatrix_checks_fail_on_a_wrong_entry",)),
+    Mutant("CSV run builds the JSON document too", CLI,
+           'failed = [c for c in checks if not c["pass"]]',
+           'failed = [c for c in checks if not c["pass"]]\n'
+           "    document and document()",
+           ("tests/test_cli.py::test_spectrum_csv_ignores_show_matrix",)),
     Mutant("TPoly keeps trailing zeros", EXACT,
            "        while cs and cs[-1] == 0:\n            cs.pop()\n", "",
            ("tests/test_exact.py",)),
@@ -143,6 +151,10 @@ MUTANTS = [
            "glo, ghi, index)]", "glo, ghi, index + 1)]",
            ("tests/test_oracle.py::"
             "test_one_index_is_its_entry_of_the_spectrum",)),
+    Mutant("a zero off-diagonal product does not split the matrix", ORACLE,
+           "if i + 1 == m.n or m.lower[i] * m.upper[i] == 0.0:",
+           "if i + 1 == m.n:",
+           ("tests/test_oracle.py::test_qes_spectrum_of_a_matrix_that_splits",)),
     Mutant("truncated spectrum drops a 1x1 tail block", ORACLE,
            "if all(lo * up > 0.0", "if b.lower and all(lo * up > 0.0",
            ("tests/test_oracle.py::test_truncated_spectrum_blocks",)),
