@@ -1,13 +1,14 @@
 """Exact large-dimension perturbation series for the quasi-exactly-solvable
 sextic oscillator.
 
-The exact layer (``exact``, ``kac``, ``model``, ``rspt``) computes the
+``model`` builds the model matrices on ``fractions`` alone and serves
+both layers.  The exact layer (``exact``, ``kac``, ``rspt``) computes the
 bound-state energy corrections as polynomials in the dimensionless
 coupling t = beta/sqrt(2*gamma) with rational coefficients, with no
-floating point anywhere.  The numeric layer (``oracle``) is an
-independent double-precision eigensolver used to validate every exact
-result at finite dimension.  ``cli`` exposes both as the ``qes-sextic``
-command.
+floating point anywhere.  The numeric layer (``oracle``, which loads
+``model`` only) is an independent double-precision eigensolver used to
+validate every exact result at finite dimension.  ``cli`` exposes both as
+the ``qes-sextic`` command.
 """
 
 import importlib
@@ -16,17 +17,15 @@ import importlib
 # first use of one of its names (PEP 562), so ``import qes_sextic.cli``
 # loads only the layers the subcommand needs
 _EXPORTS = {
-    "exact": ("ExactMatrix", "TPoly", "as_rational"),
+    "exact": ("ExactMatrix", "TPoly"),
     "kac": ("KacDecomposition", "kac_eigenvalues", "kac_involution", "kac_matrix"),
     "model": (
         "ModelParams",
-        "PerturbationSplit",
         "RadialWavefunction",
+        "as_rational",
         "general_matrix",
-        "perturbation_split",
         "qes_coupling",
         "qes_matrix",
-        "split_reassembly_residual",
     ),
     "oracle": (
         "TridiagonalReal",
@@ -38,12 +37,15 @@ _EXPORTS = {
         "truncated_spectrum",
     ),
     "rspt": (
+        "PerturbationSplit",
         "SeriesResult",
         "energy_coefficients",
         "energy_series",
         "first_order_constraints",
         "order_residual",
         "perturbation_series",
+        "perturbation_split",
+        "split_reassembly_residual",
         "unperturbed_levels",
     ),
 }

@@ -17,7 +17,6 @@ import math
 import sys
 from fractions import Fraction
 
-from .exact import ExactMatrix
 from .kac import kac_eigenvalues, kac_involution, kac_matrix
 from .model import ModelParams, qes_coupling, qes_matrix
 
@@ -233,9 +232,10 @@ def cmd_spectrum(args) -> int:
     def document():
         exact = {"coupling_a": str(coupling)}
         if args.show_matrix:
-            exact["matrix"] = ExactMatrix.tridiagonal(
-                *qes_matrix(params, dim)
-            ).to_rational_strings()
+            # entry (i, j) near the diagonal is bands[j - i + 1][min(i, j)]
+            bands, n = qes_matrix(params, dim), params.n
+            exact["matrix"] = [[str(bands[j - i + 1][min(i, j)]) if abs(i - j) <= 1
+                                else "0" for j in range(n)] for i in range(n)]
         return {"params": _params_doc(params, D=str(dim)), "exact": exact,
                 "numeric": numeric}
 

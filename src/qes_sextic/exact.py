@@ -12,7 +12,7 @@ ints, 2^o times the coefficients in t^2 at order o, and builds a
 
 No floating point enters these types.  Every :class:`TPoly`, given or
 computed, is built by its one constructor, which passes each coefficient
-through :func:`as_rational` and so rejects ``float`` outright; a scalar
+through ``model.as_rational`` and so rejects ``float`` outright; a scalar
 operand of the arithmetic enters through ``TPoly.constant``.  That is
 what makes the no-rounding-error guarantee checkable rather than
 aspirational.
@@ -25,20 +25,9 @@ ordered list of such strings, index = power of t.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-Scalar = Union[int, Fraction]
-
-
-def as_rational(value: Scalar) -> Fraction:
-    """Coerce an int or Fraction to Fraction, rejecting floats."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(
-        f"exact arithmetic needs int or Fraction, got {type(value).__name__}"
-    )
+from .model import Scalar, as_rational
 
 
 class TPoly:
@@ -297,12 +286,6 @@ class ExactMatrix:
     @property
     def is_zero(self) -> bool:
         return all(e.is_zero for row in self.rows for e in row)
-
-    def to_rational_strings(self) -> list[list[str]]:
-        """Serialize a degree-0 matrix as "num/den" strings."""
-        if any(e.degree > 0 for row in self.rows for e in row):
-            raise ValueError("matrix entries depend on t; not a scalar matrix")
-        return [[str(e.coefficient(0)) for e in row] for row in self.rows]
 
     def __repr__(self) -> str:
         body = "; ".join(

@@ -1,4 +1,4 @@
-"""Physical model: the sextic-oscillator matrices and the 1/sqrt(D) split.
+"""Physical model: the sextic-oscillator matrices and their 1/sqrt(D) rescaling.
 
 The radial problem
 
@@ -26,27 +26,37 @@ lambda^3 term.  Energies map back through
 
     E = beta*D + 2*sqrt(2*gamma*D) * eps = sqrt(2*gamma) * (t*D + 2*sqrt(D)*eps),
 
-which :func:`qes_sextic.rspt.energy_series` evaluates for the series.
+which :func:`qes_sextic.rspt.energy_series` evaluates for the series,
+and :func:`qes_sextic.rspt.perturbation_split` builds the split.
 
 :func:`qes_matrix` and :func:`general_matrix` return a matrix as its
 three diagonals ``(lower, diag, upper)``, tuples of ``Fraction`` of
-lengths n-1, n and n-1, and :func:`perturbation_split` returns h0, h1 and
-h2 as such diagonals of :class:`TPoly`, so no n x n structure is built.
-All construction here is exact; floating point appears only in
-wavefunction evaluation.
+lengths n-1, n and n-1, so no n x n structure is built.  Both layers use
+this module, and it loads no other module of the package.  All
+construction here is exact; floating point appears only in
+:meth:`ModelParams.t_float` and :class:`RadialWavefunction`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Union
 
-from .exact import ExactMatrix, Scalar, TPoly, as_rational
-
+Scalar = Union[int, Fraction]
 # a tridiagonal matrix as its (sub, main, super) diagonals
 Diagonals = tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]
-PolyDiagonals = tuple[tuple[TPoly, ...], tuple[TPoly, ...], tuple[TPoly, ...]]
+
+
+def as_rational(value: Scalar) -> Fraction:
+    """Coerce an int or Fraction to Fraction, rejecting floats."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(
+        f"exact arithmetic needs int or Fraction, got {type(value).__name__}"
+    )
 
 
 class ModelParams:
@@ -101,15 +111,6 @@ class ModelParams:
         return float(self.beta) / math.sqrt(2.0 * float(self.gamma))
 
 
-class PerturbationSplit(NamedTuple):
-    """H(lambda) = h0 + lambda*h1 + lambda^2*h2, each term as its three
-    diagonals; ``ExactMatrix.tridiagonal(*split.h0)`` gives the dense h0."""
-
-    h0: PolyDiagonals
-    h1: PolyDiagonals
-    h2: PolyDiagonals
-
-
 def qes_coupling(params: ModelParams, dim: Scalar) -> Fraction:
     """Quadratic coupling a = beta^2 - gamma*(4n + 2l + 1) that terminates
     the wavefunction's power series after n terms."""
@@ -141,54 +142,6 @@ def general_matrix(n_trunc: int, params: ModelParams, dim: Scalar) -> Diagonals:
     diag = tuple(beta * (4 * m + 2 * k + d) for m in range(n_trunc))
     upper = tuple(-2 * (m + 1) * (2 * m + 2 * k + d) for m in range(n_trunc - 1))
     return lower, diag, upper
-
-
-def perturbation_split(params: ModelParams) -> PerturbationSplit:
-    """Exact dimensionless split of the rescaled matrix in powers of
-    lambda = 1/sqrt(D); terminates at lambda^2."""
-    n, k = params.n, params.k
-    zero_off, zero_diag = (TPoly.zero(),) * (n - 1), (TPoly.zero(),) * n
-    h0_lower = tuple(TPoly.constant(m + 1 - n) for m in range(n - 1))
-    h0_upper = tuple(TPoly.constant(-(m + 1)) for m in range(n - 1))
-    h1_diag = tuple(TPoly((0, 2 * m + k)) for m in range(n))
-    h2_upper = tuple(TPoly.constant(-(m + 1) * (2 * m + 2 * k)) for m in range(n - 1))
-    return PerturbationSplit(
-        (h0_lower, zero_diag, h0_upper), (zero_off, h1_diag, zero_off),
-        (zero_off, zero_diag, h2_upper),
-    )
-
-
-def split_reassembly_residual(params: ModelParams, rho: int) -> ExactMatrix:
-    """Exact residual of the split identity at D = 2*gamma*rho^2.
-
-    For integer rho the rescaling factor sqrt(D/(2*gamma)) = rho and the
-    energy scale sqrt(2*gamma*D) = 2*gamma*rho are rational, so
-
-        S Q S^-1 - beta*D*I - 2*sqrt(2*gamma*D) * (h0 + lambda*h1 + lambda^2*h2)
-
-    is a rational matrix that must vanish identically.  Returns it.
-    """
-    if not isinstance(rho, int) or rho < 1:
-        raise ValueError("rho must be a positive integer")
-    gamma, beta = params.gamma, params.beta
-    d = 2 * gamma * rho**2
-    lower, diag, upper = qes_matrix(params, d)
-    # S Q S^-1 with S = diag(rho^j): subdiagonal * rho, superdiagonal / rho
-    rescaled = ExactMatrix.tridiagonal(
-        [x * rho for x in lower], diag, [x / rho for x in upper]
-    )
-
-    split = perturbation_split(params)
-    lam_t = beta / (2 * gamma * rho)  # lambda * t, rational here
-    lam_sq = Fraction(1) / d
-    # h0 + lambda*h1 + lambda^2*h2, one diagonal at a time
-    assembled = ExactMatrix.tridiagonal(*(
-        [e0 + e1.evaluate(lam_t) + e2 * lam_sq for e0, e1, e2 in zip(*diagonals)]
-        for diagonals in zip(split.h0, split.h1, split.h2)
-    ))
-    scale = 2 * (2 * gamma * rho)  # 2*sqrt(2*gamma*D)
-    expected = ExactMatrix.diagonal([beta * d] * params.n) + assembled * scale
-    return rescaled - expected
 
 
 class RadialWavefunction(NamedTuple):

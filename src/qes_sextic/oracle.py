@@ -1,8 +1,8 @@
 """Floating-point spectral routines that cross-check the exact results.
 
-Deliberately independent of the exact layer: plain IEEE doubles.
-Model matrices arrive as the three exact diagonals built by ``model``,
-which :meth:`TridiagonalReal.from_exact` rounds to doubles.  They are
+Deliberately independent of the exact layer: plain IEEE doubles.  Its
+one package import is ``model``, whose exact diagonals of a model matrix
+:meth:`TridiagonalReal.from_exact` rounds to doubles.  They are
 asymmetric but have positive subdiagonal*superdiagonal products, so a
 diagonal similarity maps them to symmetric form with the same spectrum,
 which is where the reality of the spectrum comes from.  Each eigenvalue

@@ -144,9 +144,9 @@ def test_spectrum_csv_names_a_failed_embedding_check(monkeypatch, capsys):
 
 
 def test_spectrum_csv_ignores_show_matrix(monkeypatch, capsys):
-    # the table is that of a plain run, and no matrix is built for it
+    # the table is that of a plain run, and no matrix is built for it:
+    # cli's qes_matrix is the --show-matrix table's only input
     from qes_sextic import cli
-    from qes_sextic.exact import ExactMatrix
 
     def refuse(*args):
         raise AssertionError("a CSV run built the --show-matrix table")
@@ -155,7 +155,7 @@ def test_spectrum_csv_ignores_show_matrix(monkeypatch, capsys):
             "--format", "csv"]
     assert cli.main(argv) == 0
     plain = capsys.readouterr()
-    monkeypatch.setattr(ExactMatrix, "tridiagonal", refuse)
+    monkeypatch.setattr(cli, "qes_matrix", refuse)
     assert cli.main(argv + ["--show-matrix"]) == 0
     assert capsys.readouterr() == plain
 
@@ -304,7 +304,7 @@ def test_validate_note_does_not_blame_roundoff_for_a_coarse_tol():
 
 
 def test_series_and_validate_never_build_the_dense_w(monkeypatch, capsys):
-    from qes_sextic import cli, model
+    from qes_sextic import cli, rspt
     from qes_sextic.exact import ExactMatrix
 
     argvs = (["series", "-N", "6", "-k", "1", "-K", "10", "-D", "100,1000"],
@@ -320,8 +320,8 @@ def test_series_and_validate_never_build_the_dense_w(monkeypatch, capsys):
     monkeypatch.setattr(ExactMatrix, "__init__", refuse)
     # the series takes ModelParams; patching the record too makes the split
     # raise under any name a module bound it to
-    monkeypatch.setattr(model, "perturbation_split", refuse)
-    monkeypatch.setattr(model, "PerturbationSplit", refuse)
+    monkeypatch.setattr(rspt, "perturbation_split", refuse)
+    monkeypatch.setattr(rspt, "PerturbationSplit", refuse)
     for argv, out in zip(argvs, expected):
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == out

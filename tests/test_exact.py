@@ -275,11 +275,3 @@ def test_poly_entries_and_scaling():
     scaled = m * t
     assert scaled[1, 1] == TPoly((0, 0, 0, 1))
     assert (m - m).is_zero
-
-
-def test_scalar_matrix_serialization():
-    m = ExactMatrix([[Fraction(1, 2), 3], [0, -2]])
-    assert m.to_rational_strings() == [["1/2", "3"], ["0", "-2"]]
-    t = TPoly.t()
-    with pytest.raises(ValueError):
-        ExactMatrix([[t, 0], [0, 1]]).to_rational_strings()

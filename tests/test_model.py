@@ -11,13 +11,16 @@ from qes_sextic.model import (
     ModelParams,
     RadialWavefunction,
     general_matrix,
-    perturbation_split,
     qes_coupling,
     qes_matrix,
-    split_reassembly_residual,
 )
 from qes_sextic.oracle import qes_spectrum, truncated_spectrum
-from qes_sextic.rspt import energy_series, perturbation_series
+from qes_sextic.rspt import (
+    energy_series,
+    perturbation_series,
+    perturbation_split,
+    split_reassembly_residual,
+)
 
 
 def params(n=2, k=0, beta=1, gamma=1):

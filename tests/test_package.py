@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 import qes_sextic
-from qes_sextic import exact, kac, oracle, rspt
+from qes_sextic import exact, kac, model, oracle, rspt
 from qes_sextic.exact import TPoly
-from qes_sextic.model import ModelParams, PerturbationSplit, RadialWavefunction
+from qes_sextic.model import ModelParams, RadialWavefunction
+from qes_sextic.rspt import PerturbationSplit
 
 
 def test_exports_and_traced_attributes_exist():
@@ -26,6 +27,8 @@ def test_exports_are_the_defining_modules_objects():
     assert qes_sextic.qes_spectrum is oracle.qes_spectrum
     assert qes_sextic.perturbation_series is rspt.perturbation_series
     assert qes_sextic.TPoly is exact.TPoly
+    # one float-rejecting coercion, defined where the float path can load it
+    assert qes_sextic.as_rational is exact.as_rational is model.as_rational
     with pytest.raises(AttributeError):
         qes_sextic.no_such_name
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from qes_sextic import kac, rspt
 from qes_sextic.exact import ExactMatrix, TPoly
 from qes_sextic.kac import KacDecomposition, kac_involution
-from qes_sextic.model import ModelParams, perturbation_split
+from qes_sextic.model import ModelParams
 from qes_sextic.oracle import qes_spectrum
 from qes_sextic.rspt import (
     energy_coefficients,
@@ -20,6 +20,7 @@ from qes_sextic.rspt import (
     order_residual,
     perturbation_bands,
     perturbation_series,
+    perturbation_split,
     unperturbed_levels,
 )
 

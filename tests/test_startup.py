@@ -29,6 +29,14 @@ def test_cli_import_loads_no_oracle_rspt_or_dataclasses():
     assert not loaded & FORBIDDEN_AT_IMPORT
 
 
+@pytest.mark.parametrize("module", ["qes_sextic.model", "qes_sextic.oracle"])
+def test_float_path_loads_no_exact_layer(module):
+    # the oracle checks the exact layer, so it must not run on any of it
+    loaded = loaded_by(f"import {module}")
+    assert module in loaded
+    assert not loaded & {"qes_sextic.exact", "qes_sextic.kac", "qes_sextic.rspt"}
+
+
 @pytest.mark.parametrize("argv,unused", [
     (["pmatrix", "-N", "2"], {"qes_sextic.oracle", "qes_sextic.rspt"}),
     (["spectrum", "-N", "3", "-D", "10"], {"qes_sextic.rspt"}),

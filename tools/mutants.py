@@ -44,6 +44,7 @@ ORACLE = "src/qes_sextic/oracle.py"
 EXACT = "src/qes_sextic/exact.py"
 KAC = "src/qes_sextic/kac.py"
 CLI = "src/qes_sextic/cli.py"
+MODEL = "src/qes_sextic/model.py"
 RECORDS = "tests/test_package.py::test_records_hold_no_field_their_others_determine"
 GRID = "tests/test_rspt.py::test_series_equals_dense_reference_on_a_grid"
 REFERENCE = "tests/test_rspt.py::test_series_equals_tpoly_reference_at_bench_shapes"
@@ -108,6 +109,10 @@ MUTANTS = [
            'failed = [c for c in checks if not c["pass"]]\n'
            "    document and document()",
            ("tests/test_cli.py::test_spectrum_csv_ignores_show_matrix",)),
+    Mutant("model loads the exact layer again", MODEL,
+           "\n\nclass ModelParams:",
+           "\n\nfrom . import exact\n\n\nclass ModelParams:",
+           ("tests/test_startup.py::test_float_path_loads_no_exact_layer",)),
     Mutant("TPoly keeps trailing zeros", EXACT,
            "        while cs and cs[-1] == 0:\n            cs.pop()\n", "",
            ("tests/test_exact.py",)),
