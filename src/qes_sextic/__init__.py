@@ -2,10 +2,11 @@
 sextic oscillator.
 
 ``model`` builds the model matrices on ``fractions`` alone and serves
-both layers.  The exact layer (``exact``, ``kac``, ``rspt``) computes the
-bound-state energy corrections as polynomials in the dimensionless
-coupling t = beta/sqrt(2*gamma) with rational coefficients, with no
-floating point anywhere.  The numeric layer (``oracle``, which loads
+both layers; ``kac`` holds the integer Kac matrices on ``math`` alone.
+The exact layer (``exact``, ``rspt``) computes the bound-state energy
+corrections as polynomials in the dimensionless coupling
+t = beta/sqrt(2*gamma) with rational coefficients, with no floating
+point anywhere.  The numeric layer (``oracle``, which loads
 ``model`` only) is an independent double-precision eigensolver used to
 validate every exact result at finite dimension.  ``cli`` exposes both as
 the ``qes-sextic`` command.

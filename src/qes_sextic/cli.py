@@ -399,9 +399,7 @@ def _loglog_slope(xs: list[float], ys: list[float]) -> float:
 
 def cmd_pmatrix(args) -> int:
     n, dec, z = args.n, kac_involution(args.n), kac_eigenvalues(args.n)
-    scale = 2 ** dec.scale_pow
-    m, t = ([[int(e.coefficient(0)) for e in row] for row in a.rows]
-            for a in (dec.m, kac_matrix(n)))
+    m, scale = dec.m, 2 ** dec.scale_pow
     columns = list(zip(*m))
 
     def max_residual(left, target) -> int:
@@ -413,7 +411,7 @@ def cmd_pmatrix(args) -> int:
         {"name": name, "pass": residual == 0, "residual": str(residual)}
         for name, residual in (
             ("involution", max_residual(m, lambda i, j: scale if i == j else 0)),
-            ("eigencolumns", max_residual(t, lambda i, j: m[i][j] * z[j])),
+            ("eigencolumns", max_residual(kac_matrix(n), lambda i, j: m[i][j] * z[j])),
         )
     ]
     m_strings = [[str(e) for e in row] for row in m]

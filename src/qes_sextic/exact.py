@@ -5,10 +5,10 @@ arbitrary-precision rational (``fractions.Fraction``) or a dense univariate
 polynomial in the dimensionless coupling t with rational coefficients
 (:class:`TPoly`).  :class:`ExactMatrix`, square and dense with
 :class:`TPoly` entries (degree 0 for integer and rational matrices),
-holds the Kac matrices, the exact checks and the correction matrices W
-that ``SeriesResult.w`` builds on access.  The recursion itself runs on
-ints, 2^o times the coefficients in t^2 at order o, and builds a
-:class:`TPoly` only for each result entry.
+holds the exact checks, which wrap the int Kac matrices of :mod:`kac`,
+and the correction matrices W that ``SeriesResult.w`` builds on access.
+The recursion itself runs on ints, 2^o times the coefficients in t^2 at
+order o, and builds a :class:`TPoly` only for each result entry.
 
 No floating point enters these types.  Every :class:`TPoly`, given or
 computed, is built by its one constructor, which passes each coefficient

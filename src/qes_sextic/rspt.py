@@ -291,7 +291,7 @@ def order_residual(
     """
     if not 1 <= order <= result.max_order:
         raise IndexError(f"series holds orders 1..{result.max_order}")
-    m_mat = kac_involution(result.n).m
+    m_mat = ExactMatrix(kac_involution(result.n).m)
     psi = [m_mat] + [m_mat @ w for w in result.w[:order]]  # psi[k] = Psi^(k)
     residual = ExactMatrix.tridiagonal(*split.h0) @ psi[order]
     for power, h in enumerate((split.h1, split.h2)[:order], start=1):
@@ -316,7 +316,7 @@ def first_order_constraints(result: SeriesResult) -> tuple[TPoly, TPoly]:
     """
     if result.n != 2 or result.k != 0:
         raise ValueError("constraint check is defined for n=2, k=0 only")
-    m_mat = kac_involution(2).m
+    m_mat = ExactMatrix(kac_involution(2).m)
     psi = -(m_mat @ result.w[0])
     t = TPoly.t()
     residual_minus = psi[0, 0] - psi[1, 0] + t

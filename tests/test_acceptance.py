@@ -38,10 +38,10 @@ def test_ac1_equidistant_spectrum():
     """AC-1: exact decomposition identities and the integer ladder, N <= 25."""
     failures = []
     for n in range(1, 26):
-        dec = kac_involution(n)
-        if dec.m @ dec.m != ExactMatrix.diagonal([2 ** (n - 1)] * n):
+        m, t = ExactMatrix(kac_involution(n).m), ExactMatrix(kac_matrix(n))
+        if m @ m != ExactMatrix.diagonal([2 ** (n - 1)] * n):
             failures.append(f"involution N={n}")
-        if kac_matrix(n) @ dec.m != dec.m @ ExactMatrix.diagonal(kac_eigenvalues(n)):
+        if t @ m != m @ ExactMatrix.diagonal(kac_eigenvalues(n)):
             failures.append(f"eigencolumns N={n}")
         if kac_eigenvalues(n) != tuple(range(n - 1, -n, -2)):
             failures.append(f"ladder N={n}")
@@ -69,7 +69,7 @@ def test_ac2_reference_involution_matrices():
     failures = []
     for n, rows in reference.items():
         dec = kac_involution(n)
-        if dec.m != ExactMatrix(rows):
+        if ExactMatrix(dec.m) != ExactMatrix(rows):
             failures.append(f"entries N={n}")
         if 2 ** dec.scale_pow != scale_squared[n]:
             failures.append(f"scale N={n}")
@@ -224,6 +224,7 @@ def test_ac8_exactness_and_determinism():
     result = perturbation_series(p, 5)
     dec = kac_involution(4)
     scalars = []
+    integers = []  # entries of the integer Kac matrices
 
     def walk(value):
         if isinstance(value, TPoly):
@@ -235,16 +236,22 @@ def test_ac8_exactness_and_determinism():
         elif isinstance(value, tuple):
             for item in value:
                 walk(item)
+        else:
+            integers.append(value)
 
     walk(result.eps)
     walk(result.w)
     walk(dec.m)
     walk(kac_matrix(4))
-    if not scalars:
+    if not scalars or not integers:
         failures.append("type walk found nothing")
     for scalar in scalars:
         if isinstance(scalar, float) or not isinstance(scalar, Fraction):
             failures.append(f"non-rational scalar {scalar!r}")
+            break
+    for entry in integers:
+        if type(entry) is not int:
+            failures.append(f"non-integer Kac entry {entry!r}")
             break
 
     # the type system rejects floats at the boundary

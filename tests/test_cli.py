@@ -352,14 +352,13 @@ def test_pmatrix_trivial():
 
 def test_pmatrix_checks_fail_on_a_wrong_entry(monkeypatch, capsys):
     from qes_sextic import cli
-    from qes_sextic.exact import ExactMatrix
     from qes_sextic.kac import kac_involution
 
     def off_by_one(n):
         dec = kac_involution(n)
-        rows = [list(row) for row in dec.m.rows]
+        rows = [list(row) for row in dec.m]
         rows[1][2] += 1
-        return dec._replace(m=ExactMatrix(rows))
+        return dec._replace(m=tuple(map(tuple, rows)))
 
     monkeypatch.setattr(cli, "kac_involution", off_by_one)
     assert cli.main(["pmatrix", "-N", "4"]) == 1

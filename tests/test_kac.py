@@ -24,9 +24,9 @@ REFERENCE_M = {
 
 
 def test_matrix_patterns():
-    assert kac_matrix(1) == ExactMatrix([[0]])
-    assert kac_matrix(2) == ExactMatrix([[0, 1], [1, 0]])
-    assert kac_matrix(3) == ExactMatrix([[0, 1, 0], [2, 0, 2], [0, 1, 0]])
+    assert kac_matrix(1) == ((0,),)
+    assert kac_matrix(2) == ((0, 1), (1, 0))
+    assert kac_matrix(3) == ((0, 1, 0), (2, 0, 2), (0, 1, 0))
 
 
 def test_eigenvalues_are_descending_odd_ladder():
@@ -42,7 +42,7 @@ def test_size_validation():
         kac_eigenvalues(-3)
 
 
-def _char_poly(matrix: ExactMatrix) -> list[Fraction]:
+def _char_poly(matrix) -> list[Fraction]:
     """det(x*I - matrix) for a tridiagonal matrix via the three-term
     recurrence on leading principal minors; coefficients low power first."""
 
@@ -60,13 +60,13 @@ def _char_poly(matrix: ExactMatrix) -> list[Fraction]:
             for i in range(n)
         ]
 
-    n = matrix.n
+    n = len(matrix)
     prev = [Fraction(1)]  # p_0
-    d0 = matrix[0, 0].coefficient(0)
+    d0 = Fraction(matrix[0][0])
     curr = [-d0, Fraction(1)]  # x - d_0
     for i in range(1, n):
-        d = matrix[i, i].coefficient(0)
-        prod = matrix[i, i - 1].coefficient(0) * matrix[i - 1, i].coefficient(0)
+        d = Fraction(matrix[i][i])
+        prod = Fraction(matrix[i][i - 1] * matrix[i - 1][i])
         term1 = poly_mul([-d, Fraction(1)], curr)
         term2 = poly_mul([-prod], prev)
         prev, curr = curr, poly_add(term1, term2)
@@ -90,26 +90,23 @@ def test_spectrum_against_exact_characteristic_polynomial():
 def test_reference_eigenvector_matrices():
     for n, rows in REFERENCE_M.items():
         dec = kac_involution(n)
-        assert dec.m == ExactMatrix(rows)
+        assert dec.m == tuple(map(tuple, rows))
         assert dec.scale_pow == n - 1
 
 
 def test_explicit_column_is_eigenvector():
     dec = kac_involution(3)
     t = kac_matrix(3)
-    col = [dec.m[i, 0] for i in range(3)]
-    assert [e.coefficient(0) for e in col] == [1, 2, 1]
-    image = [
-        sum(t[i, j].coefficient(0) * col[j].coefficient(0) for j in range(3))
-        for i in range(3)
-    ]
+    col = [dec.m[i][0] for i in range(3)]
+    assert col == [1, 2, 1]
+    image = [sum(t[i][j] * col[j] for j in range(3)) for i in range(3)]
     assert image == [2, 4, 2]  # z = 2 times the column
 
 
 @pytest.mark.parametrize("n", list(range(1, 41)))
 def test_decomposition_identities_exact(n):
     dec = kac_involution(n)
-    m = [[e.coefficient(0) for e in row] for row in dec.m.rows]
+    m = dec.m
     # independent plain-integer reference arithmetic
     square = [
         [sum(m[i][k] * m[k][j] for k in range(n)) for j in range(n)]
@@ -121,7 +118,7 @@ def test_decomposition_identities_exact(n):
             assert square[i][j] == (expected if i == j else 0)
             assert m[i][j] == int(m[i][j])  # integer entries
 
-    t = [[e.coefficient(0) for e in row] for row in kac_matrix(n).rows]
+    t = kac_matrix(n)
     z = kac_eigenvalues(n)
     for i in range(n):
         for j in range(n):
@@ -136,12 +133,12 @@ def test_parity_symmetry(n):
     dec = kac_involution(n)
     for i in range(n):
         for j in range(n):
-            assert dec.m[i, n - 1 - j] == dec.m[i, j] * ((-1) ** i)
+            assert dec.m[i][n - 1 - j] == dec.m[i][j] * ((-1) ** i)
 
 
-def _exact_determinant(matrix: ExactMatrix) -> Fraction:
-    n = matrix.n
-    a = [[e.coefficient(0) for e in row] for row in matrix.rows]
+def _exact_determinant(matrix) -> Fraction:
+    n = len(matrix)
+    a = [[Fraction(e) for e in row] for row in matrix]
     det = Fraction(1)
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
@@ -171,3 +168,13 @@ def test_conjugation_is_rational_similarity():
     y = dec.conjugate(x)
     # conjugating twice returns the original: (PXP) conjugated is X
     assert dec.conjugate(y) == x
+
+
+@pytest.mark.parametrize("n", list(range(1, 13)))
+def test_kac_matrices_hold_plain_ints(n):
+    # the limit problem is integer arithmetic: no TPoly, Fraction or float
+    for matrix in (kac_matrix(n), kac_involution(n).m):
+        assert type(matrix) is tuple and len(matrix) == n
+        for row in matrix:
+            assert type(row) is tuple and len(row) == n
+            assert all(type(e) is int for e in row), row

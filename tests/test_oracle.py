@@ -607,7 +607,7 @@ def test_eigenvector_matches_exact_column():
     m = kac_tridiagonal(5)
     for j, z in enumerate(kac_eigenvalues(5)):
         vec = inverse_iteration(m, float(z))
-        column = [float(dec.m[i, j].coefficient(0)) for i in range(5)]
+        column = [float(dec.m[i][j]) for i in range(5)]
         norm = math.sqrt(sum(c * c for c in column))
         column = [c / norm for c in column]
         # compare up to overall sign

@@ -63,7 +63,7 @@ def test_records_keep_keyword_constructors_and_stay_immutable():
     zero = TPoly.zero()
     for cls, fields in (
         (rspt.SeriesResult, dict(k=0, eps=((zero,),))),
-        (kac.KacDecomposition, dict(m=exact.ExactMatrix([[1]]))),
+        (kac.KacDecomposition, dict(m=((1,),))),
         (PerturbationSplit, dict(h0=((), (zero,), ()), h1=((), (TPoly.t(),), ()),
                                  h2=((), (zero,), ()))),
         (RadialWavefunction, dict(h=(1.0,), beta=1.0, gamma=2.0, ell=0.5)),

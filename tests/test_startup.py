@@ -37,10 +37,23 @@ def test_float_path_loads_no_exact_layer(module):
     assert not loaded & {"qes_sextic.exact", "qes_sextic.kac", "qes_sextic.rspt"}
 
 
+@pytest.mark.parametrize("module,package_modules", [
+    ("qes_sextic.kac", {"qes_sextic", "qes_sextic.kac"}),
+    ("qes_sextic.cli", {"qes_sextic", "qes_sextic.cli", "qes_sextic.kac",
+                        "qes_sextic.model"}),
+])
+def test_kac_and_cli_load_no_exact_layer(module, package_modules):
+    # the Kac matrices are int rows: the exact layer loads with rspt alone
+    loaded = loaded_by(f"import {module}")
+    assert {m for m in loaded if m.startswith("qes_sextic")} == package_modules
+
+
 @pytest.mark.parametrize("argv,unused", [
-    (["pmatrix", "-N", "2"], {"qes_sextic.oracle", "qes_sextic.rspt"}),
-    (["spectrum", "-N", "3", "-D", "10"], {"qes_sextic.rspt"}),
-    (["wavefunction", "-N", "3", "-D", "10", "--samples", "2"], {"qes_sextic.rspt"}),
+    (["pmatrix", "-N", "2"],
+     {"qes_sextic.exact", "qes_sextic.oracle", "qes_sextic.rspt"}),
+    (["spectrum", "-N", "3", "-D", "10"], {"qes_sextic.exact", "qes_sextic.rspt"}),
+    (["wavefunction", "-N", "3", "-D", "10", "--samples", "2"],
+     {"qes_sextic.exact", "qes_sextic.rspt"}),
     (["series", "-N", "2", "-K", "2"], {"qes_sextic.oracle"}),
 ])
 def test_subcommand_loads_only_the_layers_it_runs(argv, unused):

@@ -96,8 +96,11 @@ MUTANTS = [
     Mutant("series records its orders as its states", RSPT,
            "return len(self.eps[0])", "return len(self.eps)", (RECORDS,)),
     Mutant("involution scale power one too large", KAC,
-           "return self.m.n - 1", "return self.m.n",
+           "return len(self.m) - 1", "return len(self.m)",
            ("tests/test_kac.py::test_conjugation_is_rational_similarity",)),
+    Mutant("kac loads the exact layer again", KAC,
+           "\n\ndef kac_matrix(", "\n\nfrom . import exact\n\n\ndef kac_matrix(",
+           ("tests/test_startup.py::test_kac_and_cli_load_no_exact_layer",)),
     Mutant("CSV run hides the failed checks", CLI,
            "for c in failed:", "for c in ():",
            ("tests/test_cli.py::test_validate_csv_is_the_json_table",)),
