@@ -158,8 +158,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, ZeroDivisionError, IndexError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ZeroDivisionError, IndexError, RuntimeError,
+            MemoryError) as exc:
+        # str(MemoryError()) is empty: an empty message names the class
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 
@@ -441,6 +443,3 @@ def cmd_wavefunction(args) -> int:
     return _report("csv", [], ["r", "psi"],
                    ((repr(r), repr(v)) for r, v in zip(radii, psi)), None)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

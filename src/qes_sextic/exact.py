@@ -8,7 +8,8 @@ polynomial in the dimensionless coupling t with rational coefficients
 holds the exact checks, which wrap the int Kac matrices of :mod:`kac`,
 and the correction matrices W that ``SeriesResult.w`` builds on access.
 The recursion itself runs on ints, 2^o times the coefficients in t^2 at
-order o, and builds a :class:`TPoly` only for each result entry.
+order o, and builds no :class:`TPoly`: its two readers build one for each
+result entry, ``perturbation_series`` for eps and ``SeriesResult.w`` for W.
 
 No floating point enters these types.  Every :class:`TPoly`, given or
 computed, is built by its one constructor, which passes each coefficient

@@ -28,9 +28,10 @@ is 2 G1 W^(k-1) + 4 G2 W^(k-2) minus the eps^(m) W^(k-m), already at the
 scale 2^m 2^(k-m).  G1's t at even orders, and a product with m and k - m
 both odd, shift the coefficients by one power of u.  Each division by
 2(j - i) is one ``divmod``: the scale is checked, not proven, so a
-remainder raises ArithmeticError and nothing is rounded.  Only results
-are rational: ``Fraction(c, 2^k)`` and a :class:`TPoly` are built per eps
-entry and, when :attr:`SeriesResult.w` asks, per W entry.
+remainder raises ArithmeticError and nothing is rounded.  The recursion
+returns these ints and builds no :class:`TPoly`: :func:`perturbation_series`
+builds ``Fraction(c, 2^k)`` and a :class:`TPoly` per eps entry, and
+:attr:`SeriesResult.w` per W entry.
 
 The energies through order K need far fewer rows (the idea behind
 Wigner's 2n+1 rule): eps^(K)_j = R^(K)_jj reads W^(o) of column j only on
@@ -50,7 +51,8 @@ the Kac basis that reads, exactly,
     W^(k)_{n-1-i, n-1-j} = (-1)^k W^(k)_ij
 
 so the recursion runs for the states j <= (n-1)/2 (the middle state of
-odd n included), and each entry it computes writes its mirror at once.
+odd n included), and each of its two readers writes the mirrors of the
+entries it reads.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ class SeriesResult(NamedTuple):
     W^(order), orders 1..max_order, as an :class:`ExactMatrix`, from a run
     of the recursion over the whole band |i - j| <= order.  Each access
     runs it again, so bind ``w`` once to read several orders.  Both are
-    computed for the states j <= (n-1)/2; the others follow from the
-    exact reflection eps[order][n-1-j] = (-1)^(order+1) eps[order][j].
+    computed for the states j <= (n-1)/2 and reflected to the others by
+    the exact identities of the module docstring.
     """
 
     k: int
@@ -90,9 +92,14 @@ class SeriesResult(NamedTuple):
     @property
     def w(self) -> tuple[ExactMatrix, ...]:
         n, zero = self.n, TPoly.zero()
-        w = [[[zero] * n for _ in range(n)] for _ in range(self.max_order + 1)]
-        _recursion(n, self.k, self.max_order, w)
-        return tuple(ExactMatrix(rows) for rows in w[1:])
+        w = [[[zero] * n for _ in range(n)] for _ in range(self.max_order)]
+        states = _recursion(n, self.k, self.max_order, 2 * self.max_order)
+        for j, (_, cols) in enumerate(states):
+            for order, col in enumerate(cols[1:], start=1):
+                for d, cs in col.items():
+                    e = w[order - 1][j + d][j] = _in_t(cs, order)
+                    w[order - 1][n - 1 - j - d][n - 1 - j] = -e if order % 2 else e
+        return tuple(ExactMatrix(rows) for rows in w)
 
 
 def unperturbed_levels(n: int) -> tuple[int, ...]:
@@ -152,30 +159,23 @@ def _in_t(cs: list, order: int) -> TPoly:
     return TPoly(coeffs)
 
 
-def _recursion(n: int, k: int, max_order: int, w: list | None = None) -> list:
-    """eps[order][j] = eps^(order)_j as TPoly, orders 0..max_order.
-
-    The states j <= (n-1)/2 compute column j of W^(order), ints at the
-    scale 2^order, on the rows |i - j| <= min(order, H - order), H = K,
-    and each eps entry writes its mirror.  Given ``w``, nested lists of
-    TPoly zeros w[order][i][j], H = 2K and W is written into it as TPoly."""
-    horizon = max_order if w is None else 2 * max_order
-    eps = [[TPoly.constant(e) for e in unperturbed_levels(n)]]
-    eps += [[None] * n for _ in range(max_order)]
+def _recursion(n: int, k: int, max_order: int, horizon: int) -> list:
+    """Per state j <= (n-1)/2 the pair (es, cols), lists indexed by order
+    0..max_order: es[o] is 2^o eps^(o)_j and cols[o] column j of W^(o),
+    keyed by row offset, both ints in u at the scale 2^o, computed on the
+    rows |i - j| <= min(o, horizon - o).  The readers write the mirrors."""
     g1, g2 = perturbation_bands(n, k)
+    levels = unperturbed_levels(n)
+    states = []
     for j in range((n + 1) // 2):
-        # mirror columns n-1-j > (n-1)/2 are never read; the middle state
-        # of odd n is its own mirror
-        mirror = n - 1 - j > j
+        es = [[levels[j]]]
         cols: list[Column] = [{0: [1]}]  # column j of W^(0) = I
-        es = [None] * (max_order + 1)  # 2^m eps^(m)_j in u
         for order in range(1, max_order + 1):
-            parity = order % 2
             width = min(order, horizon - order)
             col = {}
             for i in range(max(0, j - width), min(n, j + width + 1)):
                 r = [2 * c for c in _band_product(g1, cols[order - 1], i, j)]
-                if not parity:
+                if not order % 2:
                     r.insert(0, 0)  # G1's t times the t of odd order - 1 is u
                 r += [0] * (order // 2 + 1 - len(r))
                 if order >= 2:
@@ -189,21 +189,15 @@ def _recursion(n: int, k: int, max_order: int, w: list | None = None) -> list:
                 while r and not r[-1]:
                     r.pop()
                 if i == j:
-                    es[order] = r
-                    e = eps[order][j] = _in_t(r, order)
-                    if mirror:
-                        eps[order][n - 1 - j] = e if parity else -e
+                    es.append(r)
                 else:
                     qr = [divmod(c, 2 * (j - i)) for c in r]
                     if any(rest for _, rest in qr):
                         raise ArithmeticError(f"W^({order}) leaves the scale 2^{order}")
-                    col[i - j] = x = [q for q, _ in qr]
-                    if w is not None:
-                        e = w[order][i][j] = _in_t(x, order)
-                        if mirror:
-                            w[order][n - 1 - i][n - 1 - j] = -e if parity else e
+                    col[i - j] = [q for q, _ in qr]
             cols.append(col)
-    return eps
+        states.append((es, cols))
+    return states
 
 
 def perturbation_series(params: ModelParams, max_order: int) -> SeriesResult:
@@ -212,7 +206,12 @@ def perturbation_series(params: ModelParams, max_order: int) -> SeriesResult:
         raise TypeError(f"the series takes ModelParams, not {type(params).__name__}")
     if not isinstance(max_order, int) or max_order < 0:
         raise ValueError("max_order must be a non-negative integer")
-    eps = _recursion(params.n, params.k, max_order)
+    n = params.n
+    eps = [[None] * n for _ in range(max_order + 1)]
+    for j, (es, _) in enumerate(_recursion(n, params.k, max_order, max_order)):
+        for order, cs in enumerate(es):
+            e = eps[order][j] = _in_t(cs, order)
+            eps[order][n - 1 - j] = e if order % 2 else -e
     return SeriesResult(k=params.k, eps=tuple(map(tuple, eps)))
 
 
@@ -354,8 +353,11 @@ def energy_series(
         E = beta*D + 2*sqrt(2*gamma*D) * (eps0 + sum_{k>=1} eps^(k) lambda^k),
 
     summed over :func:`energy_coefficients`; t is ``params.t_float()``
-    unless ``t_value`` is given.  Raises ValueError when the sum leaves
-    the float64 range."""
+    unless ``t_value`` is given.  Raises ValueError when ``params``' n or
+    k is not the series', or when the sum leaves the float64 range."""
+    if (params.n, params.k) != (result.n, result.k):
+        raise ValueError(f"params have N={params.n} k={params.k}, the series "
+                         f"N={result.n} k={result.k}")
     coeffs = energy_coefficients(result, state)
     d = float(dim)
     if d <= 0:

@@ -496,6 +496,21 @@ def test_spectrum_checks_truncation_size_before_solving(monkeypatch, capsys):
     assert out.err == "error: truncation size must be at least N\n"
 
 
+def test_memory_error_is_one_line_error(monkeypatch, capsys):
+    # an oracle that runs out of memory ends like any rejected input, and
+    # the message is not empty although str(MemoryError()) is
+    from qes_sextic import cli, oracle
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(oracle, "general_matrix", exhausted)
+    code = cli.main(["spectrum", "-N", "3", "-D", "3"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == "error: MemoryError\n"
+
+
 @pytest.mark.parametrize("dims", ["100,100", "100,1e2", "100,200/2,1000"])
 def test_validate_repeated_dimension_is_one_line_error(dims):
     out = run_cli("validate", "-N", "2", "-D", dims, check=False)

@@ -1,7 +1,11 @@
 """The package's public surface and the names the traced benchmark run
 (bench/spans.py) wraps by attribute."""
 
+import contextlib
+import io
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -92,3 +96,15 @@ def test_records_hold_no_field_their_others_determine():
             for order in range(7):
                 result = rspt.perturbation_series(ModelParams(n, k, 1, 1), order)
                 assert (result.n, result.k, result.max_order) == (n, k, order)
+
+
+def test_readme_library_example_runs_as_its_comments_say():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block.group(1), {})
+    eps2, energies = out.getvalue().splitlines()
+    assert eps2 == "['-1/2*t^2', '1/2*t^2']"
+    series, oracle_value = map(float, energies.split())
+    assert series == pytest.approx(oracle_value, rel=1e-12)

@@ -352,6 +352,30 @@ def test_recursion_does_no_tpoly_arithmetic(monkeypatch):
     assert perturbation_series(p, 8).eps == expected.eps
 
 
+def test_recursion_builds_no_tpoly(monkeypatch):
+    # the engine returns ints at both horizons; perturbation_series and
+    # SeriesResult.w build every TPoly, and write every mirror
+    p = ModelParams(7, 2, Fraction(1), Fraction(1))
+    eps, w = dense_series(perturbation_split(p), 6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recursion built a TPoly")
+
+    monkeypatch.setattr(TPoly, "__init__", refuse)
+    for horizon in (6, 12):
+        states = rspt._recursion(7, 2, 6, horizon)
+        assert len(states) == 4  # j <= (n-1)/2 only
+        for es, cols in states:
+            assert len(es) == len(cols) == 7
+            cs = [c for e in es for c in e]
+            cs += [c for col in cols for x in col.values() for c in x]
+            assert cs and all(type(c) is int for c in cs), horizon
+    monkeypatch.undo()
+    res = perturbation_series(p, 6)
+    assert res.eps == eps
+    assert res.w == w
+
+
 def test_every_coefficient_is_dyadic():
     # eps0_j - eps0_i = 2(j - i): the odd part of each divisor must cancel
     for n in range(1, 13):
@@ -538,6 +562,18 @@ def test_energy_series_single_state_is_exact():
     for d in (10, 100):
         value = energy_series(res, 0, p, d)
         assert value == pytest.approx(float(p.beta) * (2 * p.k + d), rel=1e-15)
+
+
+def test_energy_series_rejects_another_models_params():
+    # the N=3 k=1 series at N=5 k=0 params once summed to the N=3 k=1
+    # energy, 1185.20, where the N=5 k=0 model has 1007.99
+    _, res = run(3, 1, 6)
+    for other in (ModelParams(5, 0, 1, 1), ModelParams(3, 0, 1, 1),
+                  ModelParams(5, 1, 1, 1)):
+        with pytest.raises(ValueError, match="N=3 k=1"):
+            energy_series(res, 2, other, 1000)
+    # the couplings are the caller's to choose
+    assert math.isfinite(energy_series(res, 2, ModelParams(3, 1, 2, 3), 1000))
 
 
 def test_series_approaches_oracle_with_expected_rate():

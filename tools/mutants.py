@@ -51,11 +51,12 @@ REFERENCE = "tests/test_rspt.py::test_series_equals_tpoly_reference_at_bench_sha
 
 MUTANTS = [
     Mutant("eps mirror sign swapped", RSPT,
-           "eps[order][n - 1 - j] = e if parity else -e",
-           "eps[order][n - 1 - j] = -e if parity else e", (GRID,)),
+           "eps[order][n - 1 - j] = e if order % 2 else -e",
+           "eps[order][n - 1 - j] = -e if order % 2 else e", (GRID,)),
     Mutant("W mirror sign swapped", RSPT,
-           "w[order][n - 1 - i][n - 1 - j] = -e if parity else e",
-           "w[order][n - 1 - i][n - 1 - j] = e if parity else -e", (GRID,)),
+           "w[order - 1][n - 1 - j - d][n - 1 - j] = -e if order % 2 else e",
+           "w[order - 1][n - 1 - j - d][n - 1 - j] = e if order % 2 else -e",
+           (GRID,)),
     Mutant("middle state of odd n not computed", RSPT,
            "for j in range((n + 1) // 2):", "for j in range(n // 2):", (GRID,)),
     Mutant("window one row narrower", RSPT,
@@ -64,8 +65,8 @@ MUTANTS = [
     Mutant("W divisor sign flipped", RSPT,
            "divmod(c, 2 * (j - i))", "divmod(c, 2 * (i - j))", (GRID,)),
     Mutant("G1's u-shift taken at odd orders instead of even ones", RSPT,
-           "if not parity:\n                    r.insert(0, 0)",
-           "if parity:\n                    r.insert(0, 0)", (REFERENCE,)),
+           "if not order % 2:\n                    r.insert(0, 0)",
+           "if order % 2:\n                    r.insert(0, 0)", (REFERENCE,)),
     Mutant("G1 term loses its factor 2", RSPT,
            "r = [2 * c for c in _band_product(g1,",
            "r = [c for c in _band_product(g1,", (GRID,)),
@@ -76,21 +77,32 @@ MUTANTS = [
            "_subtract_product(r, es[m], x, m % 2 & (order - m) % 2)",
            "_subtract_product(r, es[m], x, 0)", (REFERENCE,)),
     Mutant("energies run on the whole band", RSPT,
-           "horizon = max_order if w is None else 2 * max_order",
-           "horizon = 2 * max_order",
+           "_recursion(n, params.k, max_order, max_order)",
+           "_recursion(n, params.k, max_order, 2 * max_order)",
            ("tests/test_rspt.py::test_window_covers_orders_clipped_by_max_order",)),
+    Mutant("W runs on the energies' window", RSPT,
+           "_recursion(n, self.k, self.max_order, 2 * self.max_order)",
+           "_recursion(n, self.k, self.max_order, self.max_order)", (GRID,)),
     Mutant("perturbation_series skips the ModelParams check", RSPT,
            "if not isinstance(params, ModelParams):", "if False:",
            ("tests/test_rspt.py::test_series_takes_the_model_params_alone",)),
     Mutant("eps^(2) of state 0 gains t^2/2", RSPT,
-           "e = eps[order][j] = _in_t(r, order)\n",
-           "e = eps[order][j] = _in_t(r, order) + (TPoly((0, 0, Fraction(1, 2)))"
+           "e = eps[order][j] = _in_t(cs, order)\n",
+           "e = eps[order][j] = _in_t(cs, order) + (TPoly((0, 0, Fraction(1, 2)))"
            " if (order, j) == (2, 0) else 0)\n",
            ("tests/test_rspt.py::test_first_two_orders_closed_form",)),
     Mutant("G2 band +2 entry +1", RSPT,
            "2: lambda i: -(i + 1) * (i + 2) // 2,",
            "2: lambda i: -(i + 1) * (i + 2) // 2 + 1,",
            ("tests/test_rspt.py::test_order_identities_hold_in_original_basis",)),
+    Mutant("recursion builds the eps TPolys again", RSPT,
+           "                    es.append(r)\n",
+           "                    es.append(r)\n                    _in_t(r, order)\n",
+           ("tests/test_rspt.py::test_recursion_builds_no_tpoly",)),
+    Mutant("energy series sums another model's params", RSPT,
+           "if (params.n, params.k) != (result.n, result.k):", "if False:",
+           ("tests/test_rspt.py::"
+            "test_energy_series_rejects_another_models_params",)),
     Mutant("series records one order too many", RSPT,
            "return len(self.eps) - 1", "return len(self.eps)", (RECORDS,)),
     Mutant("series records its orders as its states", RSPT,
@@ -104,6 +116,13 @@ MUTANTS = [
     Mutant("CSV run hides the failed checks", CLI,
            "for c in failed:", "for c in ():",
            ("tests/test_cli.py::test_validate_csv_is_the_json_table",)),
+    Mutant("out of memory ends in a traceback", CLI,
+           "RuntimeError,\n            MemoryError) as exc:",
+           "RuntimeError) as exc:",
+           ("tests/test_cli.py::test_memory_error_is_one_line_error",)),
+    Mutant("out of memory reports an empty message", CLI,
+           "{str(exc) or type(exc).__name__}", "{exc}",
+           ("tests/test_cli.py::test_memory_error_is_one_line_error",)),
     Mutant("report exits 0 on a failed check", CLI,
            "return 1 if failed else 0", "return 0",
            ("tests/test_cli.py::test_pmatrix_checks_fail_on_a_wrong_entry",)),
