@@ -1,15 +1,15 @@
 """Exact large-dimension perturbation series for the quasi-exactly-solvable
 sextic oscillator.
 
-``model`` builds the model matrices on ``fractions`` alone and serves
+``model`` builds the model matrices exactly on ``fractions`` and serves
 both layers; ``kac`` holds the integer Kac matrices on ``math`` alone.
 The exact layer (``exact``, ``rspt``) computes the bound-state energy
 corrections as polynomials in the dimensionless coupling
 t = beta/sqrt(2*gamma) with rational coefficients, with no floating
-point anywhere.  The numeric layer (``oracle``, which loads
-``model`` only) is an independent double-precision eigensolver used to
-validate every exact result at finite dimension.  ``cli`` exposes both as
-the ``qes-sextic`` command.
+point anywhere.  The numeric layer (``oracle``, which loads ``model``
+only) is an independent double-precision eigensolver that holds every
+float fact and validates every exact result at finite dimension.
+``cli`` exposes both as the ``qes-sextic`` command.
 """
 
 import importlib
@@ -22,13 +22,13 @@ _EXPORTS = {
     "kac": ("KacDecomposition", "kac_eigenvalues", "kac_involution", "kac_matrix"),
     "model": (
         "ModelParams",
-        "RadialWavefunction",
         "as_rational",
         "general_matrix",
         "qes_coupling",
         "qes_matrix",
     ),
     "oracle": (
+        "RadialWavefunction",
         "TridiagonalReal",
         "bisection_eigenvalues",
         "inverse_iteration",

@@ -25,9 +25,6 @@ from .model import ModelParams, qes_coupling, qes_matrix
 
 EMBEDDING_RTOL = 1e-8
 SLOPE_RTOL = 0.20
-# measured series-vs-eigensolver differences below a couple of ulps of the
-# eigenvalue are indistinguishable from roundoff and cannot enter a slope fit
-RESOLUTION_ULPS = 2.0
 
 
 def _rational(text: str) -> Fraction:
@@ -111,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also check the QES block against this truncation "
                    "of the un-terminated matrix")
     p.add_argument("--show-matrix", action="store_true")
-    p.add_argument("--tol", type=_positive_float, default=1e-12)
+    p.add_argument("--tol", type=_positive_float)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_spectrum)
 
@@ -132,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-K", dest="order", type=int, default=6)
     p.add_argument("-D", dest="dims", type=_dimension_list, required=True,
                    help="comma-separated dimensions, e.g. 100,1000,10000")
-    p.add_argument("--tol", type=_positive_float, default=1e-12)
+    p.add_argument("--tol", type=_positive_float)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_validate)
 
@@ -200,23 +197,24 @@ def _params_doc(params: ModelParams, **extra) -> dict:
 def cmd_spectrum(args) -> int:
     from bisect import bisect_left
 
-    from .oracle import qes_spectrum, truncated_spectrum
+    from .oracle import TOL, qes_spectrum, truncated_spectrum
 
     params = ModelParams(args.n, args.k, args.beta, args.gamma)
     dim = args.dim
+    tol = TOL if args.tol is None else args.tol
     coupling = qes_coupling(params, dim)
     if args.general is not None and args.general < params.n:
         raise ValueError("truncation size must be at least N")
-    eigenvalues = qes_spectrum(params, dim, args.tol)
+    eigenvalues = qes_spectrum(params, dim, tol)
 
     checks = []
     numeric = {
         "dtype": "float64",
-        "tol": args.tol,
+        "tol": tol,
         "eigenvalues": eigenvalues,
     }
     if args.general is not None:
-        general = truncated_spectrum(params, dim, args.general, args.tol)
+        general = truncated_spectrum(params, dim, args.general, tol)
         deviations = []
         for value in eigenvalues:
             scale = max(abs(value), 1e-30)
@@ -251,6 +249,8 @@ def cmd_series(args) -> int:
     params = ModelParams(args.n, args.k, args.beta, args.gamma)
     if args.order < 0:
         raise ValueError("order K must be non-negative")
+    if any(dim <= 0 for dim in args.dims):
+        raise ValueError("dimension D must be positive")
     result = perturbation_series(params, args.order)
 
     def document():
@@ -299,10 +299,11 @@ def cmd_series(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .oracle import qes_spectrum
+    from .oracle import TOL, qes_spectrum, resolution
     from .rspt import energy_series, perturbation_series
 
     params = ModelParams(args.n, args.k, args.beta, args.gamma)
+    tol = TOL if args.tol is None else args.tol
     if args.order < 0:
         raise ValueError("order K must be non-negative")
     dims = sorted(args.dims)
@@ -322,7 +323,7 @@ def cmd_validate(args) -> int:
     table = []
     points = [[] for _ in range(params.n)]  # resolvable (D, err) per state
     for dim in dims:
-        oracle_values = qes_spectrum(params, dim, args.tol)
+        oracle_values = qes_spectrum(params, dim, tol)
         for j in range(params.n):
             series_value = energy_series(result, j, params, dim)
             oracle_value = oracle_values[j]
@@ -331,13 +332,9 @@ def cmd_validate(args) -> int:
             if not math.isfinite(rel_err):
                 raise ValueError(
                     f"series error at D={dim} is beyond the float64 range")
-            # the eigensolver certifies the value only to half its stopping
-            # width plus a couple of ulps; differences below that are noise
-            floor = 0.5 * args.tol + (
-                RESOLUTION_ULPS
-                * sys.float_info.epsilon
-                * max(1.0, abs(oracle_value))
-            )
+            # differences below the eigensolver's resolution are roundoff
+            # and cannot enter a slope fit
+            floor = resolution(oracle_value, tol)
             if abs_err > floor:
                 points[j].append((float(dim), abs_err))
             table.append({
@@ -388,10 +385,9 @@ def cmd_validate(args) -> int:
 
 
 def _loglog_slope(xs: list[float], ys: list[float]) -> float:
-    # least-squares slope of log(y) against log(x); tiny errors are
-    # floored to keep the logarithm finite
+    # least-squares slope of log(y) against log(x); each y > resolution > 0
     lx = [math.log(x) for x in xs]
-    ly = [math.log(max(y, sys.float_info.min)) for y in ys]
+    ly = [math.log(y) for y in ys]
     mean_x = sum(lx) / len(lx)
     mean_y = sum(ly) / len(ly)
     num = sum((x - mean_x) * (y - mean_y) for x, y in zip(lx, ly))

@@ -33,15 +33,15 @@ and :func:`qes_sextic.rspt.perturbation_split` builds the split.
 three diagonals ``(lower, diag, upper)``, tuples of ``Fraction`` of
 lengths n-1, n and n-1, so no n x n structure is built.  Both layers use
 this module, and it loads no other module of the package.  All
-construction here is exact; floating point appears only in
-:meth:`ModelParams.t_float` and :class:`RadialWavefunction`.
+construction here is exact; the one float is :meth:`ModelParams.t_float`,
+the value of t at which the series is summed.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Union
 
 Scalar = Union[int, Fraction]
 # a tridiagonal matrix as its (sub, main, super) diagonals
@@ -142,33 +142,6 @@ def general_matrix(n_trunc: int, params: ModelParams, dim: Scalar) -> Diagonals:
     diag = tuple(beta * (4 * m + 2 * k + d) for m in range(n_trunc))
     upper = tuple(-2 * (m + 1) * (2 * m + 2 * k + d) for m in range(n_trunc - 1))
     return lower, diag, upper
-
-
-class RadialWavefunction(NamedTuple):
-    """Terminating bound-state wavefunction in the numeric layer.
-
-    psi(r) = sum_n h[n] * r^(2n + ell + 1) * exp(-beta*r^2/2 - gamma*r^4/4)
-    """
-
-    h: tuple[float, ...]
-    beta: float
-    gamma: float
-    ell: float
-
-    def value(self, r: float) -> float:
-        if r <= 0:
-            raise ValueError("radius must be positive")
-        try:
-            envelope = math.exp(-0.5 * self.beta * r * r - 0.25 * self.gamma * r**4)
-            poly = 0.0
-            for coeff in reversed(self.h):
-                poly = poly * r * r + coeff
-            psi = poly * r ** (self.ell + 1.0) * envelope
-        except OverflowError:
-            psi = math.inf
-        if not math.isfinite(psi):
-            raise ValueError(f"psi({r!r}) is beyond the float64 range")
-        return psi
 
 
 def _check_dim(dim: Scalar) -> Fraction:

@@ -19,21 +19,22 @@ bisection ends in, or show the eigenvalue beyond it, and the search
 gallops on.  If the counts taken are not monotone, the plain bisections
 run instead.  Either way the eigenvalues are bit for bit those of the
 plain bisection (see :func:`bisection_eigenvalues`).
+
+:data:`TOL` is every spectrum's default tolerance, :func:`resolution` the
+half-width a bisected value is certified to, and :class:`RadialWavefunction`
+the float64 psi of one state, which :func:`radial_wavefunction` fills.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from typing import NamedTuple
 
-from .model import (
-    ModelParams,
-    RadialWavefunction,
-    general_matrix,
-    qes_matrix,
-)
+from .model import ModelParams, general_matrix, qes_matrix
 
 _EPS = sys.float_info.epsilon
+TOL = 1e-12  # default absolute tolerance of a bisected eigenvalue
 
 
 class TridiagonalReal:
@@ -147,7 +148,7 @@ def _sturm_count(
 
 
 def bisection_eigenvalues(
-    diag, offdiag, tol: float = 1e-12, index: int | None = None
+    diag, offdiag, tol: float = TOL, index: int | None = None
 ) -> list[float]:
     """The whole spectrum of a symmetric tridiagonal matrix, ascending, or
     [eigenvalue index] alone, each to absolute tolerance tol (floored at
@@ -209,6 +210,12 @@ def bisection_eigenvalues(
 def _splits(lo, hi, depth, tol) -> bool:
     """Whether the bracket (lo, hi] at this depth is bisected further."""
     return depth < 300 and hi - lo > tol + 2.0 * _EPS * max(abs(lo), abs(hi))
+
+
+def resolution(value: float, tol: float) -> float:
+    """Half-width to which an eigenvalue bisected at tol is certified: half
+    the width at which :func:`_splits` stops, plus room for the rounding."""
+    return 0.5 * tol + 2.0 * _EPS * max(1.0, abs(value))
 
 
 def _single(diag, off_sq, pivmin, tol, lo, hi, c) -> float:
@@ -424,13 +431,11 @@ def _fix_sign(vec: list[float]) -> list[float]:
     # deterministic orientation: first clearly nonzero component positive
     # (an argmax anchor is unstable when two components tie in magnitude)
     peak = max(abs(v) for v in vec)
-    for v in vec:
-        if abs(v) > 0.1 * peak:
-            return [-u for u in vec] if v < 0 else vec
-    return vec
+    first = next(v for v in vec if abs(v) > 0.1 * peak)
+    return [-u for u in vec] if first < 0 else vec
 
 
-def qes_spectrum(params: ModelParams, dim, tol: float = 1e-12) -> list[float]:
+def qes_spectrum(params: ModelParams, dim, tol: float = TOL) -> list[float]:
     """Eigenvalues of the terminating n x n block, ascending: the
     truncation at n rows, whose off-diagonal products are all positive."""
     return truncated_spectrum(params, dim, params.n, tol)
@@ -440,7 +445,7 @@ def truncated_spectrum(
     params: ModelParams,
     dim,
     n_trunc: int,
-    tol: float = 1e-12,
+    tol: float = TOL,
 ) -> list[float]:
     """Real eigenvalues of the n_trunc-truncated un-terminated matrix.
 
@@ -460,6 +465,33 @@ def truncated_spectrum(
                   for v in bisection_eigenvalues(*symmetrize(block), tol))
 
 
+class RadialWavefunction(NamedTuple):
+    """Terminating bound-state wavefunction in the numeric layer.
+
+    psi(r) = sum_n h[n] * r^(2n + ell + 1) * exp(-beta*r^2/2 - gamma*r^4/4)
+    """
+
+    h: tuple[float, ...]
+    beta: float
+    gamma: float
+    ell: float
+
+    def value(self, r: float) -> float:
+        if r <= 0:
+            raise ValueError("radius must be positive")
+        try:
+            envelope = math.exp(-0.5 * self.beta * r * r - 0.25 * self.gamma * r**4)
+            poly = 0.0
+            for coeff in reversed(self.h):
+                poly = poly * r * r + coeff
+            psi = poly * r ** (self.ell + 1.0) * envelope
+        except OverflowError:
+            psi = math.inf
+        if not math.isfinite(psi):
+            raise ValueError(f"psi({r!r}) is beyond the float64 range")
+        return psi
+
+
 def radial_wavefunction(
     params: ModelParams, dim, state: int
 ) -> tuple[RadialWavefunction, float]:
@@ -467,9 +499,8 @@ def radial_wavefunction(
     the model matrix, plus its energy.  States are indexed by ascending
     energy.
 
-    Only the chosen eigenvalue is bisected, at the one default tolerance
-    of :func:`bisection_eigenvalues`: bit for bit the entry of
-    :func:`qes_spectrum`.  One twisted factorization gives the
+    Only the chosen eigenvalue is bisected, at :data:`TOL`, the default
+    of :func:`qes_spectrum` and of the CLI: bit for bit their entry.  One twisted factorization gives the
     eigenvector for every N, exactly [1.0] at N = 1.  A matrix that
     splits into blocks has no eigenvector of its symmetric form and
     raises ValueError, as in :func:`inverse_iteration`.

@@ -171,6 +171,17 @@ def test_series_csv_does_not_evaluate_dimensions():
     assert out.stdout.startswith("state,lambda_power,coefficients\n0,-2,0 1\n")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("dims", ["0", "-5", "10,0"])
+def test_series_rejects_a_nonpositive_dimension_in_either_format(dims, fmt, capsys):
+    from qes_sextic import cli
+
+    code = cli.main(["series", "-N", "2", "-K", "2", "-D", dims, "--format", fmt])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == "error: dimension D must be positive\n"
+
+
 def test_series_coefficients():
     out = run_cli("series", "-N", "2", "-k", "0", "-K", "5")
     doc = json.loads(out.stdout)
@@ -303,21 +314,29 @@ def test_validate_note_does_not_blame_roundoff_for_a_coarse_tol():
         assert "resolution" in check["note"]
 
 
-def test_series_and_validate_never_build_the_dense_w(monkeypatch, capsys):
-    from qes_sextic import cli, rspt
+def test_no_subcommand_reaches_the_dense_reference_layer(monkeypatch, capsys):
+    # the dense references (ExactMatrix, the conjugation by M, the split)
+    # check the series in tests only; no subcommand runs them
+    from qes_sextic import cli, kac, rspt
     from qes_sextic.exact import ExactMatrix
 
-    argvs = (["series", "-N", "6", "-k", "1", "-K", "10", "-D", "100,1000"],
-             ["validate", "-N", "4", "-K", "6", "-D", "100,1000,10000"])
+    argvs = (["series", "-N", "6", "-k", "1", "-K", "10", "-D", "100,1000",
+              "--t", "3/2"],
+             ["validate", "-N", "4", "-K", "6", "-D", "100,1000,10000"],
+             ["spectrum", "-N", "4", "-D", "10", "--general", "8",
+              "--show-matrix"],
+             ["pmatrix", "-N", "4"],
+             ["wavefunction", "-N", "3", "-D", "10", "--samples", "4"])
     expected = []
     for argv in argvs:
         assert cli.main(argv) == 0
         expected.append(capsys.readouterr().out)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the CLI built a dense ExactMatrix or a split")
+        raise AssertionError("the CLI reached the dense reference layer")
 
     monkeypatch.setattr(ExactMatrix, "__init__", refuse)
+    monkeypatch.setattr(kac.KacDecomposition, "conjugate", refuse)
     # the series takes ModelParams; patching the record too makes the split
     # raise under any name a module bound it to
     monkeypatch.setattr(rspt, "perturbation_split", refuse)

@@ -9,12 +9,11 @@ import pytest
 from qes_sextic.exact import TPoly
 from qes_sextic.model import (
     ModelParams,
-    RadialWavefunction,
     general_matrix,
     qes_coupling,
     qes_matrix,
 )
-from qes_sextic.oracle import qes_spectrum, truncated_spectrum
+from qes_sextic.oracle import RadialWavefunction, qes_spectrum, truncated_spectrum
 from qes_sextic.rspt import (
     energy_series,
     perturbation_series,

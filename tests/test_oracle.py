@@ -1,5 +1,6 @@
 """Tests for the floating-point cross-check solver."""
 
+import json
 import math
 import random
 import sys
@@ -445,6 +446,35 @@ def test_single_index_equals_bisection_per_eigenvalue_under_noisy_counts(
         assert _hex(got) == [want[state]], state
 
 
+def _check_resolution(diag, off, tol):
+    # both bisections end in brackets around the same jump of the count,
+    # so a value at tol and one at a tighter tol differ by at most the sum
+    # of their resolutions
+    tight = tol / 1024
+    for v, w in zip(bisection_eigenvalues(diag, off, tol),
+                    bisection_eigenvalues(diag, off, tight)):
+        assert abs(v - w) <= oracle.resolution(v, tol) + oracle.resolution(
+            w, tight), (v, w, tol)
+
+
+@pytest.mark.parametrize("n,k,beta,gamma,dim,tol",
+                         [row for row in MODEL_MATRICES if row[0] <= 400])
+def test_values_at_two_tolerances_agree_within_their_resolutions(
+        n, k, beta, gamma, dim, tol):
+    _check_resolution(*_model(n, k, beta, gamma, dim), tol)
+
+
+def test_values_at_two_tolerances_agree_on_random_matrices():
+    rng = random.Random(2024)
+    for _ in range(60):
+        n = rng.randint(1, 30)
+        diag = tuple(rng.choice((0.0, 1.0, -1.0)) * 10.0 ** rng.uniform(-8, 8)
+                     for _ in range(n))
+        off = tuple(10.0 ** rng.uniform(-12, 6) for _ in range(n - 1))
+        for tol in (1e-12, 1e-4, 1.0):
+            _check_resolution(diag, off, tol)
+
+
 @pytest.mark.parametrize("index", [-1, 4, 5, 1.5, 2.0])
 def test_index_must_lie_within_the_spectrum(index):
     # a float must not pick an eigenvalue, even an integral one
@@ -661,9 +691,18 @@ def test_wavefunction_coefficients_solve_exact_system():
     (200, 1, 1, 100, (0, 100, 199)),
     (120, Fraction(1, 4), Fraction(1, 4), 100, (60,)),
 ])
-def test_wavefunction_energy_is_the_spectrum_entry(n, beta, gamma, dim, states):
+def test_wavefunction_energy_is_the_spectrum_entry(n, beta, gamma, dim, states,
+                                                  capsys):
+    # the library's and the CLI's default tolerance is the one TOL
+    from qes_sextic import cli
+
     p = ModelParams(n, 0, Fraction(beta), Fraction(gamma))
     spectrum = qes_spectrum(p, dim)
+    assert cli.main(["spectrum", "-N", str(n), "--beta", str(beta),
+                     "--gamma", str(gamma), "-D", str(dim)]) == 0
+    printed = json.loads(capsys.readouterr().out)["numeric"]
+    assert printed["tol"] == oracle.TOL
+    assert _hex(printed["eigenvalues"]) == _hex(spectrum)
     for state in states:
         _, energy = radial_wavefunction(p, dim, state)
         assert energy.hex() == spectrum[state].hex(), state

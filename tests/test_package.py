@@ -12,7 +12,8 @@ import pytest
 import qes_sextic
 from qes_sextic import exact, kac, model, oracle, rspt
 from qes_sextic.exact import TPoly
-from qes_sextic.model import ModelParams, RadialWavefunction
+from qes_sextic.model import ModelParams
+from qes_sextic.oracle import RadialWavefunction
 from qes_sextic.rspt import PerturbationSplit
 
 
@@ -31,6 +32,9 @@ def test_exports_are_the_defining_modules_objects():
     assert qes_sextic.qes_spectrum is oracle.qes_spectrum
     assert qes_sextic.perturbation_series is rspt.perturbation_series
     assert qes_sextic.TPoly is exact.TPoly
+    # the float record lives with the solver that fills it
+    assert qes_sextic.RadialWavefunction is oracle.RadialWavefunction
+    assert not hasattr(model, "RadialWavefunction")
     # one float-rejecting coercion, defined where the float path can load it
     assert qes_sextic.as_rational is exact.as_rational is model.as_rational
     with pytest.raises(AttributeError):

@@ -190,6 +190,19 @@ MUTANTS = [
            "*symmetrize(matrix), 1e-9, state)",
            ("tests/test_oracle.py::"
             "test_wavefunction_energy_is_the_spectrum_entry",)),
+    Mutant("resolution a tenth of its width", ORACLE,
+           "return 0.5 * tol + 2.0 * _EPS", "return 0.05 * tol + 2.0 * _EPS",
+           ("tests/test_oracle.py::"
+            "test_values_at_two_tolerances_agree_within_their_resolutions",)),
+    Mutant("spectrum defaults to a tolerance other than TOL", CLI,
+           "tol = TOL if args.tol is None else args.tol\n    coupling",
+           "tol = 1e-9 if args.tol is None else args.tol\n    coupling",
+           ("tests/test_oracle.py::"
+            "test_wavefunction_energy_is_the_spectrum_entry",)),
+    Mutant("series CSV takes a nonpositive -D", CLI,
+           "if any(dim <= 0 for dim in args.dims):", "if False:",
+           ("tests/test_cli.py::"
+            "test_series_rejects_a_nonpositive_dimension_in_either_format",)),
 ]
 
 
