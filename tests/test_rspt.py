@@ -17,12 +17,11 @@ from qes_sextic.rspt import (
     energy_coefficients,
     energy_series,
     first_order_constraints,
-    order_residual,
     perturbation_bands,
     perturbation_series,
-    perturbation_split,
     unperturbed_levels,
 )
+from reference import order_residual, perturbation_split
 
 
 def run(n, k, order, beta=1, gamma=1):
@@ -413,18 +412,25 @@ def test_every_order_is_an_integer_at_scale_two_to_the_order():
                 assert_integer_at_scale(polys, order, (n, k, 12))
 
 
-def test_a_remainder_off_the_scale_raises(monkeypatch):
-    # G2's -1 band off by one: W^(4) of N = 4 is no longer an integer at
+@pytest.mark.parametrize("n,g,band", [
+    pytest.param(4, 1, lambda n, k: lambda i: (i - n) * (i - 1 + k) + 1,
+                 id="G2-N4"),
+    # the remainder sits off the constant coefficient here, so a guard
+    # has to check every coefficient of the quotient
+    pytest.param(3, 0, lambda n, k: lambda i: i - n + 1, id="G1-N3"),
+])
+def test_a_remainder_off_the_scale_raises(monkeypatch, n, g, band):
+    # G2's or G1's -1 band off by one: W^(4) is no longer an integer at
     # the scale 2^4, and the division says so instead of flooring
     bands = rspt.perturbation_bands
 
     def perturbed(n, k):
-        g1, g2 = bands(n, k)
-        g2[-1] = lambda i: (i - n) * (i - 1 + k) + 1
-        return g1, g2
+        gs = bands(n, k)
+        gs[g][-1] = band(n, k)
+        return gs
 
     monkeypatch.setattr(rspt, "perturbation_bands", perturbed)
-    p = ModelParams(4, 0, Fraction(1), Fraction(1))
+    p = ModelParams(n, 0, Fraction(1), Fraction(1))
     with pytest.raises(ArithmeticError, match=r"W\^\(4\) leaves the scale 2\^4"):
         perturbation_series(p, 8)
 

@@ -3,6 +3,7 @@ at the modules the package loads beyond what the interpreter had."""
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,3 +71,23 @@ def test_star_import_binds_every_export():
         "missing = [n for n in qes_sextic.__all__ if n not in names]\n"
         "assert not missing, missing\n"
     )
+
+
+def test_the_dense_split_checks_live_in_the_tests_alone():
+    # tests/reference.py holds the split and its two residuals: the package
+    # neither exports them nor loads that module, even where it could
+    moved = ["PerturbationSplit", "order_residual", "perturbation_split",
+             "split_reassembly_residual"]
+    loaded = loaded_by(
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "import pkgutil\n"
+        "import qes_sextic\n"
+        "from qes_sextic import rspt\n"
+        f"held = set({moved!r}) & (set(qes_sextic.__all__) | set(vars(rspt)))\n"
+        "assert not held, held\n"
+        "for module in pkgutil.iter_modules(qes_sextic.__path__):\n"
+        "    if module.name != '__main__':\n"
+        "        __import__(f'qes_sextic.{module.name}')\n")
+    assert {"qes_sextic.cli", "qes_sextic.exact", "qes_sextic.kac",
+            "qes_sextic.model", "qes_sextic.oracle", "qes_sextic.rspt"} <= loaded
+    assert not {m for m in loaded if m.rpartition(".")[2] == "reference"}

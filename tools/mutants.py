@@ -73,6 +73,9 @@ MUTANTS = [
     Mutant("nonzero remainder passes", RSPT,
            "if any(rest for _, rest in qr):", "if False:",
            ("tests/test_rspt.py::test_a_remainder_off_the_scale_raises",)),
+    Mutant("scale guard checks the constant coefficient only", RSPT,
+           "if any(rest for _, rest in qr):", "if qr and qr[0][1]:",
+           ("tests/test_rspt.py::test_a_remainder_off_the_scale_raises",)),
     Mutant("odd.odd eps.W product loses its u-shift", RSPT,
            "_subtract_product(r, es[m], x, m % 2 & (order - m) % 2)",
            "_subtract_product(r, es[m], x, 0)", (REFERENCE,)),
