@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -27,50 +28,50 @@ EMBEDDING_RTOL = 1e-8
 SLOPE_RTOL = 0.20
 
 
-def _rational(text: str) -> Fraction:
+# what each converter reads, as a refusal of unreadable text names it
+_KINDS = {int: "an integer", float: "a number", Fraction: "a rational number"}
+
+
+def _checked(convert, ok, rule: str):
+    """Argument type: ``convert`` of the text, refused with ``rule`` unless
+    ``ok`` holds of the value.  ``convert`` is a key of ``_KINDS`` or
+    another checked type."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(
+                f"not {_KINDS[convert]}: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}: {text!r}")
+        return value
+
+    return parse
+
+
+def _in_float64(value: Fraction) -> bool:
+    # a finite float64 that is not 0.0 unless the rational is 0
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        return bool(float(value)) or not value
+    except OverflowError:
+        return False
 
 
 def _float64_rational(name: str):
-    """Argument type: a rational that converts to a finite float64 that is
-    not 0.0 unless the rational is 0."""
-
-    def convert(text: str) -> Fraction:
-        value = _rational(text)
-        try:
-            in_range = bool(float(value)) or not value
-        except OverflowError:
-            in_range = False
-        if not in_range:
-            raise argparse.ArgumentTypeError(
-                f"{name} beyond the float64 range: {text!r}"
-            )
-        return value
-
-    return convert
+    return _checked(Fraction, _in_float64, f"{name} beyond the float64 range")
 
 
-_dimension = _float64_rational("dimension")
 _coupling = _float64_rational("coupling")
+_dimension = _checked(_float64_rational("dimension"), lambda d: d > 0,
+                      "dimension D must be positive")
+_finite_positive = _checked(float, lambda x: math.isfinite(x) and x > 0.0,
+                            "must be finite and positive")
+_order = _checked(int, lambda k: k >= 0, "order K must be non-negative")
 
 
 def _dimension_list(text: str) -> list[Fraction]:
     return [_dimension(part) for part in text.split(",") if part.strip()]
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(
-            f"must be finite and positive: {text!r}"
-        )
-    return value
 
 
 def _add_model_arguments(parser: argparse.ArgumentParser):
@@ -86,7 +87,12 @@ def _add_model_arguments(parser: argparse.ArgumentParser):
 
 class _Parser(argparse.ArgumentParser):
     """Sends a rejected argument to ``main``'s one-line error instead of
-    printing the usage block and exiting; its subparsers inherit it."""
+    printing the usage block and exiting, and reads '-' followed by a digit
+    or '.' as a value, as in ``--t -1/2``; its subparsers inherit both."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise ValueError(message)
@@ -108,13 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also check the QES block against this truncation "
                    "of the un-terminated matrix")
     p.add_argument("--show-matrix", action="store_true")
-    p.add_argument("--tol", type=_positive_float)
+    p.add_argument("--tol", type=_finite_positive)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("series", help="exact energy-series coefficients")
     _add_model_arguments(p)
-    p.add_argument("-K", dest="order", type=int, default=10,
+    p.add_argument("-K", dest="order", type=_order, default=10,
                    help="maximum correction order (default 10)")
     p.add_argument("-D", dest="dims", type=_dimension_list, default=[],
                    help="comma-separated dimensions for numeric evaluation")
@@ -126,10 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate",
                        help="series-vs-eigensolver convergence check")
     _add_model_arguments(p)
-    p.add_argument("-K", dest="order", type=int, default=6)
+    p.add_argument("-K", dest="order", type=_order, default=6)
     p.add_argument("-D", dest="dims", type=_dimension_list, required=True,
                    help="comma-separated dimensions, e.g. 100,1000,10000")
-    p.add_argument("--tol", type=_positive_float)
+    p.add_argument("--tol", type=_finite_positive)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_validate)
 
@@ -144,8 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-D", dest="dim", type=_dimension, required=True)
     p.add_argument("--state", type=int, default=0,
                    help="state index by ascending energy (default 0)")
-    p.add_argument("--rmax", type=_positive_float, default=3.0)
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--rmax", type=_finite_positive, default=3.0)
+    p.add_argument("--samples", default=64, type=_checked(
+        int, lambda s: s > 0, "samples must be positive"))
     p.set_defaults(func=cmd_wavefunction)
 
     return parser
@@ -247,10 +254,6 @@ def cmd_series(args) -> int:
     from .rspt import energy_coefficients, energy_series, perturbation_series
 
     params = ModelParams(args.n, args.k, args.beta, args.gamma)
-    if args.order < 0:
-        raise ValueError("order K must be non-negative")
-    if any(dim <= 0 for dim in args.dims):
-        raise ValueError("dimension D must be positive")
     result = perturbation_series(params, args.order)
 
     def document():
@@ -304,16 +307,14 @@ def cmd_validate(args) -> int:
 
     params = ModelParams(args.n, args.k, args.beta, args.gamma)
     tol = TOL if args.tol is None else args.tol
-    if args.order < 0:
-        raise ValueError("order K must be non-negative")
     dims = sorted(args.dims)
     if not dims:
         raise ValueError("at least one dimension is required")
     for lower, upper in zip(dims, dims[1:]):
         if lower == upper:
             raise ValueError(f"dimension D={lower} is given more than once")
-        # one point in the float64 log-log fit; D <= 0 fails further on
-        if lower > 0 and math.log(float(lower)) == math.log(float(upper)):
+        # one point in the float64 log-log fit
+        if math.log(float(lower)) == math.log(float(upper)):
             raise ValueError(f"dimensions D={lower} and D={upper} have the "
                              "same float64 logarithm")
     # one extra correction order so the partial sum is complete through
@@ -428,8 +429,6 @@ def cmd_wavefunction(args) -> int:
     from .oracle import radial_wavefunction
 
     params = ModelParams(args.n, args.k, args.beta, args.gamma)
-    if args.samples < 1:
-        raise ValueError("samples must be positive")
     wf, _energy = radial_wavefunction(params, args.dim, args.state)
     radii = [args.rmax * (i + 1) / args.samples for i in range(args.samples)]
     psi = [wf.value(r) for r in radii]

@@ -179,7 +179,8 @@ def test_series_rejects_a_nonpositive_dimension_in_either_format(dims, fmt, caps
     code = cli.main(["series", "-N", "2", "-K", "2", "-D", dims, "--format", fmt])
     out = capsys.readouterr()
     assert code == 2 and out.out == ""
-    assert out.err == "error: dimension D must be positive\n"
+    bad = dims.split(",")[-1]
+    assert out.err == f"error: argument -D: dimension D must be positive: {bad!r}\n"
 
 
 def test_series_coefficients():
@@ -407,18 +408,6 @@ def test_wavefunction_sampling():
     assert all(a > b for a, b in zip(tail, tail[1:]))
 
 
-def test_invalid_parameters_exit_nonzero():
-    out = run_cli("spectrum", "-N", "0", "-D", "3", check=False)
-    assert out.returncode == 2
-    assert "error" in out.stderr.lower()
-
-    out = run_cli("spectrum", "-N", "2", "-D", "-1", check=False)
-    assert out.returncode == 2
-
-    out = run_cli("spectrum", "-N", "2", "-D", "x/y", check=False)
-    assert out.returncode == 2
-
-
 def assert_rejected(out, argument):
     # exit 2, nothing on stdout, and an error line naming the argument
     assert out.returncode == 2
@@ -497,18 +486,86 @@ def test_parser_rejection_is_one_line_error(args, words):
     assert_one_line_error(run_cli(*args, check=False), words)
 
 
-def test_spectrum_checks_truncation_size_before_solving(monkeypatch, capsys):
-    from qes_sextic import cli, oracle
+@pytest.fixture
+def no_computation(monkeypatch):
+    # the series engine, the eigensolver and the Kac columns refuse to run
+    from qes_sextic import kac, oracle, rspt
 
-    def unreachable(*args):
-        raise AssertionError("the spectrum was computed before the check")
+    def unreachable(*args, **kwargs):
+        raise AssertionError("computed before refusing")
 
-    monkeypatch.setattr(oracle, "qes_spectrum", unreachable)
-    monkeypatch.setattr(cli, "qes_spectrum", unreachable, raising=False)
-    code = cli.main(["spectrum", "-N", "800", "-D", "100", "--general", "10"])
+    for module, name in ((rspt, "_recursion"), (oracle, "bisection_eigenvalues"),
+                         (kac, "_eigenvector_column")):
+        monkeypatch.setattr(module, name, unreachable)
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "-N", "2", "-K", "2"),
+    ("validate", "-N", "2", "-K", "2", "-D", "100,1000"),
+    ("spectrum", "-N", "2", "-D", "10"),
+    ("pmatrix", "-N", "2"),
+    ("wavefunction", "-N", "2", "-D", "10"),
+])
+def test_each_subcommand_computes_through_a_refused_function(argv, no_computation):
+    # so a refusal under no_computation shows that nothing was computed
+    from qes_sextic import cli
+
+    with pytest.raises(AssertionError, match="computed before refusing"):
+        cli.main(list(argv))
+
+
+# invalid calls, each with the words its error line must hold: the
+# benchmark's rejected inputs and seed defects, then the rules each argument
+# type, subcommand body or the library applies
+REFUSED = [
+    (("spectrum", "-N", "0", "-D", "10"), "block size n"),
+    (("pmatrix", "-N", "0"), "matrix size"),
+    (("series", "-N", "3", "-K", "-1"), "argument -K"),
+    (("spectrum", "-N", "3", "-D", "0"), "argument -D"),
+    (("spectrum", "-N", "3", "-k", "-1", "-D", "10"), "angular momentum k"),
+    (("spectrum", "-N", "3", "-D", "10", "--beta", "0"), "beta must be positive"),
+    (("series", "-N", "3", "--gamma", "x/0"), "argument --gamma"),
+    (("spectrum", "-N", "3", "-D", "10", "--general", "2"), "truncation size"),
+    (("wavefunction", "-N", "3", "-D", "10", "--samples", "0"), "argument --samples"),
+    (("wavefunction", "-N", "3", "-D", "10", "--state", "3"), "state"),
+    (("spectrum", "-N", "3", "-D", "1e400"), "argument -D"),
+    (("series", "-N", "3", "-K", "4", "-D", "1e400"), "argument -D"),
+    (("spectrum", "-N", "3", "-D", "10", "--tol", "nan"), "argument --tol"),
+    (("wavefunction", "-N", "3", "-D", "10", "--rmax", "nan"), "argument --rmax"),
+    (("validate", "-N", "6", "-K", "120", "-D", "0,100"), "argument -D"),
+    (("validate", "-N", "2", "-K", "-1", "-D", "100,1000"), "argument -K"),
+    (("series", "-N", "2", "-K", "2", "-D", "10,0", "--format", "csv"),
+     "argument -D"),
+    (("spectrum", "-N", "800", "-D", "100", "--general", "10"),
+     "truncation size must be at least N"),
+    (("spectrum", "-N", "0", "-D", "3"), "block size n"),
+    (("spectrum", "-N", "2", "-D", "-1"), "argument -D"),
+    (("spectrum", "-N", "2", "-D", "x/y"), "argument -D"),
+    # values that start with '-'
+    (("validate", "-N", "2", "-D", "-5,100"), "argument -D: dimension D"),
+    (("spectrum", "-N", "2", "-D", "10", "--beta", "-1/2"), "beta must be positive"),
+    (("series", "-N", "2", "-D", "-.5"), "argument -D: dimension D"),
+]
+
+
+@pytest.mark.parametrize("argv,words", REFUSED,
+                         ids=[" ".join(argv) for argv, _ in REFUSED])
+def test_no_subcommand_computes_before_it_refuses(argv, words, no_computation,
+                                                  capsys):
+    from qes_sextic import cli
+
+    code = cli.main(list(argv))
     out = capsys.readouterr()
     assert code == 2 and out.out == ""
-    assert out.err == "error: truncation size must be at least N\n"
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert words in lines[0]
+
+
+def test_a_value_may_start_with_a_minus_sign():
+    separate = run_cli_bytes("series", "-N", "2", "-K", "4", "--t", "-1/2")
+    assert separate == run_cli_bytes("series", "-N", "2", "-K", "4", "--t=-1/2")
+    assert json.loads(separate)["exact"]["at_t"]["t"] == "-1/2"
 
 
 def test_memory_error_is_one_line_error(monkeypatch, capsys):

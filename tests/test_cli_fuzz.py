@@ -46,7 +46,7 @@ def argvs(draw):
     command = draw(st.sampled_from(
         ["spectrum", "series", "validate", "pmatrix", "wavefunction"]))
     n = draw(st.integers(0, 40))
-    # "--name=value" keeps argparse from reading "-1" as an option
+    # "--name=value" and "--name value" parse alike, "-1" included
     argv = [command, f"-N={n}"]
     if command == "pmatrix":
         return argv + [f"--format={draw(formats)}"]

@@ -48,6 +48,7 @@ MODEL = "src/qes_sextic/model.py"
 RECORDS = "tests/test_package.py::test_records_hold_no_field_their_others_determine"
 GRID = "tests/test_rspt.py::test_series_equals_dense_reference_on_a_grid"
 REFERENCE = "tests/test_rspt.py::test_series_equals_tpoly_reference_at_bench_shapes"
+REFUSED = "tests/test_cli.py::test_no_subcommand_computes_before_it_refuses"
 
 MUTANTS = [
     Mutant("eps mirror sign swapped", RSPT,
@@ -203,9 +204,18 @@ MUTANTS = [
            ("tests/test_oracle.py::"
             "test_wavefunction_energy_is_the_spectrum_entry",)),
     Mutant("series CSV takes a nonpositive -D", CLI,
-           "if any(dim <= 0 for dim in args.dims):", "if False:",
+           "return [_dimension(part)",
+           'return [_float64_rational("dimension")(part)',
            ("tests/test_cli.py::"
             "test_series_rejects_a_nonpositive_dimension_in_either_format",)),
+    Mutant("-D accepts 0", CLI, "lambda d: d > 0", "lambda d: d >= 0", (REFUSED,)),
+    Mutant("-K accepts -1", CLI, "lambda k: k >= 0", "lambda k: k >= -1",
+           (REFUSED,)),
+    Mutant("--samples accepts 0", CLI, "lambda s: s > 0", "lambda s: s >= 0",
+           (REFUSED,)),
+    Mutant("values that start with '-' read as options again", CLI,
+           "        self._negative_number_matcher = re.compile(", "        (",
+           ("tests/test_cli.py::test_a_value_may_start_with_a_minus_sign",)),
 ]
 
 
