@@ -279,10 +279,9 @@ def cmd_series(args) -> int:
         doc = {"params": _params_doc(params, K=args.order), "exact": exact}
         if args.dims:
             evaluations = []
-            t_float = float(t_sub) if args.t_value is not None else None
             for dim in args.dims:
                 values = [
-                    energy_series(result, j, params, dim, t_value=t_float)
+                    energy_series(result, j, params, dim, t_value=args.t_value)
                     for j in range(params.n)
                 ]
                 evaluations.append({

@@ -11,12 +11,13 @@ The recursion itself runs on ints, 2^o times the coefficients in t^2 at
 order o, and builds no :class:`TPoly`: its two readers build one for each
 result entry, ``perturbation_series`` for eps and ``SeriesResult.w`` for W.
 
-No floating point enters these types.  Every :class:`TPoly`, given or
-computed, is built by its one constructor, which passes each coefficient
-through ``model.as_rational`` and so rejects ``float`` outright; a scalar
-operand of the arithmetic enters through ``TPoly.constant``.  That is
-what makes the no-rounding-error guarantee checkable rather than
-aspirational.
+No floating point enters these types, and none leaves them: no method
+converts to float.  Every :class:`TPoly`, given or computed, is built by
+its one constructor, which passes each coefficient through
+``model.as_rational`` and so rejects ``float`` outright; a scalar operand
+of the arithmetic enters through ``TPoly.constant``.  That is what makes
+the no-rounding-error guarantee checkable rather than aspirational; the
+series meets float64 only in ``rspt.energy_series``.
 
 Serialization: a rational is the string ``"num/den"`` (just ``"num"`` when
 the denominator is 1, i.e. exactly ``str(Fraction)``); a polynomial is the
@@ -147,13 +148,6 @@ class TPoly:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def evaluate_float(self, point: float) -> float:
-        """Floating-point value; the only inexact operation on this type."""
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * point + float(c)
         return acc
 
     def to_strings(self) -> list[str]:

@@ -33,8 +33,7 @@ the split itself is built only by the tests' dense reference.
 three diagonals ``(lower, diag, upper)``, tuples of ``Fraction`` of
 lengths n-1, n and n-1, so no n x n structure is built.  Both layers use
 this module, and it loads no other module of the package.  All
-construction here is exact; the one float is :meth:`ModelParams.t_float`,
-the value of t at which the series is summed.
+construction here is exact: no float enters it.
 """
 
 from __future__ import annotations
@@ -106,9 +105,6 @@ class ModelParams:
         if rn * rn == num and rd * rd == den:
             return Fraction(rn, rd)
         return None
-
-    def t_float(self) -> float:
-        return float(self.beta) / math.sqrt(2.0 * float(self.gamma))
 
 
 def qes_coupling(params: ModelParams, dim: Scalar) -> Fraction:

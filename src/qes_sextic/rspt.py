@@ -55,7 +55,8 @@ odd n included), and each of its two readers writes the mirrors of the
 entries it reads.
 
 This module holds the engine, its two readers, the two-state check
-:func:`first_order_constraints` and the energy map; the dense checks of
+:func:`first_order_constraints` and the energy map, whose float64 sum
+:func:`energy_series` is the series' one float edge; the dense checks of
 the split h0, h1, h2 in the original basis are test references.
 """
 
@@ -264,32 +265,38 @@ def energy_series(
     state: int,
     params: ModelParams,
     dim: Scalar,
-    t_value: float | None = None,
+    t_value: Scalar | None = None,
 ) -> float:
     """Floating-point partial sum of the energy series of one state at
     lambda = 1/sqrt(D),
 
-        E = beta*D + 2*sqrt(2*gamma*D) * (eps0 + sum_{k>=1} eps^(k) lambda^k),
+        E = beta*D + 2*sqrt(2*gamma*D) * (eps0 + sum_{k>=1} eps^(k) lambda^k)
+          = sqrt(2*gamma) * (t/lambda^2 + sum_{k>=0} 2*eps^(k) lambda^(k-1)),
 
-    summed over :func:`energy_coefficients`; t is ``params.t_float()``
-    unless ``t_value`` is given.  Raises ValueError when ``params``' n or
-    k is not the series', or when the sum leaves the float64 range."""
+    each eps^(k) by Horner at t in float64, t = beta/sqrt(2*gamma) unless
+    the rational ``t_value`` is given.  This is the series' one float
+    edge.  Raises ValueError when ``params``' n or k is not the series',
+    when D <= 0, or when the sum leaves the float64 range."""
     if (params.n, params.k) != (result.n, result.k):
         raise ValueError(f"params have N={params.n} k={params.k}, the series "
                          f"N={result.n} k={result.k}")
-    coeffs = energy_coefficients(result, state)
-    d = float(dim)
-    if d <= 0:
+    if not 0 <= state < result.n:
+        raise IndexError(f"state must be in 0..{result.n - 1}")
+    if dim <= 0:
         raise ValueError("dimension D must be positive")
-    lam = 1.0 / math.sqrt(d)
-    t0 = params.t_float() if t_value is None else float(t_value)
-    total = 0.0
     try:
-        for m, poly in enumerate(coeffs):
-            total += poly.evaluate_float(t0) * lam ** (m - 2)
-    except OverflowError:
-        total = math.inf
-    energy = math.sqrt(2.0 * float(params.gamma)) * total
+        lam = 1.0 / math.sqrt(float(dim))
+        root = math.sqrt(2.0 * float(params.gamma))
+        t = float(params.beta) / root if t_value is None else float(t_value)
+        total = t * lam ** -2
+        for order, eps in enumerate(result.eps):
+            value = 0.0
+            for c in reversed(eps[state].coeffs):
+                value = value * t + float(c)
+            total += (2.0 * value) * lam ** (order - 1)
+        energy = root * total
+    except (OverflowError, ZeroDivisionError):
+        energy = math.inf
     if not math.isfinite(energy):
         raise ValueError(f"energy at D={dim} is beyond the float64 range")
     return energy

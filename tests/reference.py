@@ -10,13 +10,14 @@ No test lives here; the test modules import it.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from qes_sextic.exact import ExactMatrix, TPoly
 from qes_sextic.kac import kac_involution
-from qes_sextic.model import ModelParams, qes_matrix
-from qes_sextic.rspt import SeriesResult
+from qes_sextic.model import ModelParams, Scalar, qes_matrix
+from qes_sextic.rspt import SeriesResult, energy_coefficients
 
 
 # h0, h1 or h2 as its (sub, main, super) diagonals of polynomials in t
@@ -102,3 +103,47 @@ def order_residual(
     for m in range(order + 1):
         residual = residual - psi[order - m] @ ExactMatrix.diagonal(result.eps[m])
     return residual
+
+
+def t_float(params: ModelParams) -> float:
+    """t = beta/sqrt(2*gamma) in float64, as the series was summed at."""
+    return float(params.beta) / math.sqrt(2.0 * float(params.gamma))
+
+
+def evaluate_float(poly: TPoly, point: float) -> float:
+    """Horner in float64 over the coefficients of ``poly``."""
+    acc = 0.0
+    for c in reversed(poly.coeffs):
+        acc = acc * point + float(c)
+    return acc
+
+
+def energy_series_reference(
+    result: SeriesResult,
+    state: int,
+    params: ModelParams,
+    dim: Scalar,
+    t_value: Scalar | None = None,
+) -> float:
+    """The partial sum of :func:`rspt.energy_series` as the sum over
+    :func:`rspt.energy_coefficients`, lambda^-2 up, each evaluated by
+    float Horner; the package sums the same floats without the products."""
+    if (params.n, params.k) != (result.n, result.k):
+        raise ValueError(f"params have N={params.n} k={params.k}, the series "
+                         f"N={result.n} k={result.k}")
+    coeffs = energy_coefficients(result, state)
+    d = float(dim)
+    if d <= 0:
+        raise ValueError("dimension D must be positive")
+    lam = 1.0 / math.sqrt(d)
+    t0 = t_float(params) if t_value is None else float(t_value)
+    total = 0.0
+    try:
+        for m, poly in enumerate(coeffs):
+            total += evaluate_float(poly, t0) * lam ** (m - 2)
+    except OverflowError:
+        total = math.inf
+    energy = math.sqrt(2.0 * float(params.gamma)) * total
+    if not math.isfinite(energy):
+        raise ValueError(f"energy at D={dim} is beyond the float64 range")
+    return energy

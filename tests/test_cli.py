@@ -343,6 +343,25 @@ def test_no_subcommand_reaches_the_dense_reference_layer(monkeypatch, capsys):
         assert capsys.readouterr().out == out
 
 
+def test_validate_multiplies_no_tpoly(monkeypatch, capsys):
+    # energy_series sums each eps^(k) in float64 itself; no TPoly product
+    # of energy_coefficients lies on validate's path
+    from qes_sextic import cli
+
+    argv = ["validate", "-N", "6", "-k", "2", "-K", "8",
+            "-D", "100,300,1000,3000,10000"]
+    code = cli.main(argv)
+    expected = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate multiplied TPolys")
+
+    monkeypatch.setattr(TPoly, "__mul__", refuse)
+    monkeypatch.setattr(TPoly, "__rmul__", refuse)
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out == expected
+
+
 def test_pmatrix_five_states():
     out = run_cli("pmatrix", "-N", "5")
     doc = json.loads(out.stdout)

@@ -15,7 +15,12 @@ from qes_sextic.model import (
 )
 from qes_sextic.oracle import RadialWavefunction, qes_spectrum, truncated_spectrum
 from qes_sextic.rspt import energy_series, perturbation_series
-from reference import perturbation_split, split_reassembly_residual
+from reference import (
+    evaluate_float,
+    perturbation_split,
+    split_reassembly_residual,
+    t_float,
+)
 
 
 def params(n=2, k=0, beta=1, gamma=1):
@@ -174,13 +179,13 @@ def test_reassembled_split_reproduces_numeric_spectrum():
     p = params(4, 0)
     d = 100
     lam = 1.0 / math.sqrt(d)
-    t0 = p.t_float()
+    t0 = t_float(p)
     s = perturbation_split(p)
 
-    diag = [e.evaluate_float(t0) * lam for e in s.h1[1]]
-    lower = [e.evaluate_float(t0) for e in s.h0[0]]
+    diag = [evaluate_float(e, t0) * lam for e in s.h1[1]]
+    lower = [evaluate_float(e, t0) for e in s.h0[0]]
     upper = [
-        a.evaluate_float(t0) + b.evaluate_float(t0) * lam * lam
+        evaluate_float(a, t0) + evaluate_float(b, t0) * lam * lam
         for a, b in zip(s.h0[2], s.h2[2])
     ]
     eps_values = bisection_eigenvalues(

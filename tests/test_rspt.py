@@ -21,7 +21,13 @@ from qes_sextic.rspt import (
     perturbation_series,
     unperturbed_levels,
 )
-from reference import order_residual, perturbation_split
+from reference import (
+    energy_series_reference,
+    evaluate_float,
+    order_residual,
+    perturbation_split,
+    t_float,
+)
 
 
 def run(n, k, order, beta=1, gamma=1):
@@ -582,6 +588,47 @@ def test_energy_series_rejects_another_models_params():
     assert math.isfinite(energy_series(res, 2, ModelParams(3, 1, 2, 3), 1000))
 
 
+@pytest.mark.parametrize("beta, gamma, dim, t_value", [
+    (1, 1, 10**400, None),
+    (1, 1, Fraction(1, 10**400), None),  # positive, though 0.0 in float64
+    (1, 1, 100, Fraction(10**400)),
+    (10**400, 1, 100, None),
+    (1, Fraction(1, 10**400), 100, None),
+], ids=("huge D", "tiny D", "huge t", "huge beta", "tiny gamma"))
+def test_energy_series_beyond_float64_is_value_error(beta, gamma, dim, t_value):
+    # every float conversion of D, t, beta and gamma is inside the range
+    # guard, and D's sign is read off the exact D
+    p, res = run(3, 1, 4, beta, gamma)
+    with pytest.raises(ValueError, match="beyond the float64 range"):
+        energy_series(res, 0, p, dim, t_value)
+
+
+def _outcome(sum_series, *args):
+    try:
+        return sum_series(*args).hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+# couplings, t and D between 1e-6 and 1e6; D scaled by 10^-60 to 10^60
+rationals = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
+scales = st.integers(-60, 60).map(lambda e: Fraction(10) ** e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 9), k=st.integers(0, 3), order=st.integers(0, 14),
+       beta=rationals, gamma=rationals, dim=rationals, scale=scales,
+       t_value=st.none() | rationals | rationals.map(lambda t: -t))
+def test_energy_series_is_the_float_sum_of_the_energy_coefficients(
+        n, k, order, beta, gamma, dim, scale, t_value):
+    # bit for bit, and the same ValueError where the sum overflows
+    p, res = run(n, k, order, beta, gamma)
+    for state in range(n):
+        args = (res, state, p, dim * scale, t_value)
+        assert (_outcome(energy_series, *args)
+                == _outcome(energy_series_reference, *args))
+
+
 def test_series_approaches_oracle_with_expected_rate():
     # truncation error must scale like lam^(K+1); fitted log-log slope
     # within 20% of -(K+1)/2, using exactly representable couplings
@@ -620,12 +667,12 @@ def test_exact_tail_explains_the_ac6_red_state():
     state, kept, last = 5, 7, 18
     p, partial = run(6, 2, kept)
     _, full = run(6, 2, last)
-    t0 = p.t_float()
+    t0 = t_float(p)
     for d in (100, 1000):
         lam = 1.0 / math.sqrt(d)
         error = qes_spectrum(p, d)[state] - energy_series(partial, state, p, d)
         terms = [2.0 * math.sqrt(2.0 * float(p.gamma))
-                 * full.eps[m][state].evaluate_float(t0) * lam ** (m - 1)
+                 * evaluate_float(full.eps[m][state], t0) * lam ** (m - 1)
                  for m in range(kept + 1, last + 1)]
         assert sum(terms) == pytest.approx(error, rel=0.01), d
         if d == 100:

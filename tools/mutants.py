@@ -107,6 +107,13 @@ MUTANTS = [
            "if (params.n, params.k) != (result.n, result.k):", "if False:",
            ("tests/test_rspt.py::"
             "test_energy_series_rejects_another_models_params",)),
+    Mutant("energy series drops the doubling", RSPT,
+           "total += (2.0 * value) * lam", "total += value * lam",
+           ("tests/test_rspt.py::"
+            "test_energy_series_is_the_float_sum_of_the_energy_coefficients",)),
+    Mutant("energy series reads D's sign off the float", RSPT,
+           "if dim <= 0:", "if float(dim) <= 0:",
+           ("tests/test_rspt.py::test_energy_series_beyond_float64_is_value_error",)),
     Mutant("series records one order too many", RSPT,
            "return len(self.eps) - 1", "return len(self.eps)", (RECORDS,)),
     Mutant("series records its orders as its states", RSPT,
