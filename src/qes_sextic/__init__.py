@@ -43,7 +43,6 @@ _EXPORTS = {
         "energy_series",
         "first_order_constraints",
         "perturbation_series",
-        "unperturbed_levels",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -114,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also check the QES block against this truncation "
                    "of the un-terminated matrix")
     p.add_argument("--show-matrix", action="store_true")
-    p.add_argument("--tol", type=_finite_positive)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_spectrum)
 
@@ -135,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-K", dest="order", type=_order, default=6)
     p.add_argument("-D", dest="dims", type=_dimension_list, required=True,
                    help="comma-separated dimensions, e.g. 100,1000,10000")
-    p.add_argument("--tol", type=_finite_positive)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_validate)
 
@@ -208,20 +206,19 @@ def cmd_spectrum(args) -> int:
 
     params = ModelParams(args.n, args.k, args.beta, args.gamma)
     dim = args.dim
-    tol = TOL if args.tol is None else args.tol
     coupling = qes_coupling(params, dim)
     if args.general is not None and args.general < params.n:
         raise ValueError("truncation size must be at least N")
-    eigenvalues = qes_spectrum(params, dim, tol)
+    eigenvalues = qes_spectrum(params, dim)
 
     checks = []
     numeric = {
         "dtype": "float64",
-        "tol": tol,
+        "tol": TOL,
         "eigenvalues": eigenvalues,
     }
     if args.general is not None:
-        general = truncated_spectrum(params, dim, args.general, tol)
+        general = truncated_spectrum(params, dim, args.general)
         deviations = []
         for value in eigenvalues:
             scale = max(abs(value), 1e-30)
@@ -305,7 +302,6 @@ def cmd_validate(args) -> int:
     from .rspt import energy_series, perturbation_series
 
     params = ModelParams(args.n, args.k, args.beta, args.gamma)
-    tol = TOL if args.tol is None else args.tol
     dims = sorted(args.dims)
     if not dims:
         raise ValueError("at least one dimension is required")
@@ -323,7 +319,7 @@ def cmd_validate(args) -> int:
     table = []
     points = [[] for _ in range(params.n)]  # resolvable (D, err) per state
     for dim in dims:
-        oracle_values = qes_spectrum(params, dim, tol)
+        oracle_values = qes_spectrum(params, dim)
         for j in range(params.n):
             series_value = energy_series(result, j, params, dim)
             oracle_value = oracle_values[j]
@@ -334,7 +330,7 @@ def cmd_validate(args) -> int:
                     f"series error at D={dim} is beyond the float64 range")
             # differences below the eigensolver's resolution are roundoff
             # and cannot enter a slope fit
-            floor = resolution(oracle_value, tol)
+            floor = resolution(oracle_value, TOL)
             if abs_err > floor:
                 points[j].append((float(dim), abs_err))
             table.append({

@@ -452,10 +452,12 @@ def truncated_spectrum(
     Rows where lower*upper vanishes decouple it into blocks.  With the
     terminating coupling the subdiagonal vanishes exactly at the
     block-size row, so its spectrum contains the whole QES spectrum.
-    Beyond that row the subdiagonal changes sign, making the tail block
-    non-symmetrizable: its eigenvalues are largely complex truncation
-    artifacts of an unbounded recursion and are omitted here.  Only
-    blocks with positive off-diagonal products contribute, each bisected
+    Beyond that row the subdiagonal changes sign, so a tail of two or
+    more rows is non-symmetrizable: its eigenvalues are largely complex
+    truncation artifacts of an unbounded recursion and are omitted here.
+    A one-row tail (n_trunc = n + 1) has no off-diagonal product, and its
+    entry beta*(4n + 2k + D) is bisected and reported.  Only blocks whose
+    off-diagonal products are all positive contribute, each bisected
     whole.
     """
     matrix = TridiagonalReal.from_exact(general_matrix(n_trunc, params, dim))

@@ -67,7 +67,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .exact import ExactMatrix, TPoly
-from .kac import kac_involution
+from .kac import kac_eigenvalues, kac_involution
 from .model import ModelParams, Scalar
 
 
@@ -105,11 +105,6 @@ class SeriesResult(NamedTuple):
                     e = w[order - 1][j + d][j] = _in_t(cs, order)
                     w[order - 1][n - 1 - j - d][n - 1 - j] = -e if order % 2 else e
         return tuple(ExactMatrix(rows) for rows in w)
-
-
-def unperturbed_levels(n: int) -> tuple[int, ...]:
-    """Zeroth-order dimensionless levels, ascending: 2j - (n-1)."""
-    return tuple(2 * j - (n - 1) for j in range(n))
 
 
 # a band matrix: offset d -> entry (i, i+d) as a function of the row i
@@ -170,10 +165,10 @@ def _recursion(n: int, k: int, max_order: int, horizon: int) -> list:
     keyed by row offset, both ints in u at the scale 2^o, computed on the
     rows |i - j| <= min(o, horizon - o).  The readers write the mirrors."""
     g1, g2 = perturbation_bands(n, k)
-    levels = unperturbed_levels(n)
+    levels = kac_eigenvalues(n)
     states = []
     for j in range((n + 1) // 2):
-        es = [[levels[j]]]
+        es = [[levels[n - 1 - j]]]
         cols: list[Column] = [{0: [1]}]  # column j of W^(0) = I
         for order in range(1, max_order + 1):
             width = min(order, horizon - order)

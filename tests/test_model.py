@@ -41,6 +41,10 @@ def test_parameter_validation():
     # the model's other size checks
     with pytest.raises(ValueError, match="truncation size"):
         general_matrix(0, params(2, 0), 3)
+    for build in (qes_coupling, qes_matrix, lambda p, d: general_matrix(3, p, d)):
+        for dim in (0, -1, Fraction(-1, 2)):
+            with pytest.raises(ValueError, match="dimension D must be positive"):
+                build(params(2, 0), dim)
     with pytest.raises(ValueError, match="rho"):
         split_reassembly_residual(params(2, 0), 0)
 

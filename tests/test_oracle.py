@@ -693,7 +693,7 @@ def test_wavefunction_coefficients_solve_exact_system():
 ])
 def test_wavefunction_energy_is_the_spectrum_entry(n, beta, gamma, dim, states,
                                                   capsys):
-    # the library's and the CLI's default tolerance is the one TOL
+    # the CLI bisects at the library's default tolerance, the one TOL
     from qes_sextic import cli
 
     p = ModelParams(n, 0, Fraction(beta), Fraction(gamma))

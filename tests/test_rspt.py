@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qes_sextic import kac, rspt
 from qes_sextic.exact import ExactMatrix, TPoly
-from qes_sextic.kac import KacDecomposition, kac_involution
+from qes_sextic.kac import KacDecomposition, kac_eigenvalues, kac_involution
 from qes_sextic.model import ModelParams
 from qes_sextic.oracle import qes_spectrum
 from qes_sextic.rspt import (
@@ -19,7 +19,6 @@ from qes_sextic.rspt import (
     first_order_constraints,
     perturbation_bands,
     perturbation_series,
-    unperturbed_levels,
 )
 from reference import (
     energy_series_reference,
@@ -48,7 +47,7 @@ def dense_series(split, max_order):
     conjugation.  Returns (eps, w) laid out as in SeriesResult."""
     n = len(split.h0[1])
     g1, g2 = conjugated_g(split)
-    eps0 = unperturbed_levels(n)
+    eps0 = kac_eigenvalues(n)[::-1]
     eps_rows = [tuple(TPoly.constant(e) for e in eps0)]
     ws = [ExactMatrix.diagonal([1] * n)]
     for order in range(1, max_order + 1):
@@ -156,10 +155,13 @@ def closed_form_order(order: int, upper: bool) -> TPoly:
 
 
 def test_zeroth_order_is_ascending_ladder():
-    assert unperturbed_levels(4) == (-3, -1, 1, 3)
     _, res = run(4, 0, 0)
     assert [e.coefficient(0) for e in res.eps[0]] == [-3, -1, 1, 3]
     assert res.max_order == 0
+    # the Kac eigenvalues, ascending
+    for n in range(1, 8):
+        _, res = run(n, 1, 0)
+        assert tuple(e.coefficient(0) for e in res.eps[0]) == kac_eigenvalues(n)[::-1]
 
 
 def test_two_state_low_orders():
@@ -217,7 +219,7 @@ def test_recursion_residual_definition():
     p = ModelParams(4, 1, Fraction(1), Fraction(1))
     res = perturbation_series(p, 5)
     g1, g2 = conjugated_g(perturbation_split(p))
-    eps0 = ExactMatrix.diagonal(list(unperturbed_levels(4)))
+    eps0 = ExactMatrix.diagonal(list(kac_eigenvalues(4)[::-1]))
     ws = [ExactMatrix.diagonal([1] * 4)] + list(res.w)
     for order in range(1, 6):
         r = g1 @ ws[order - 1]
@@ -304,7 +306,7 @@ def tpoly_recursion(n, k, max_order, horizon):
     lists of TPoly, with t explicit.  Returns (eps, w) as nested lists,
     w[order][i][j] = W^(order)_ij."""
     zero, one = TPoly.zero(), TPoly.one()
-    eps = [[TPoly.constant(e) for e in unperturbed_levels(n)]]
+    eps = [[TPoly.constant(e) for e in kac_eigenvalues(n)[::-1]]]
     eps += [[zero] * n for _ in range(max_order)]
     w = [[[one if i == j else zero for j in range(n)] for i in range(n)]]
     w += [[[zero] * n for _ in range(n)] for _ in range(max_order)]
@@ -463,6 +465,8 @@ def test_order_and_state_must_lie_within_the_series():
     for state in (-1, 3):
         with pytest.raises(IndexError, match=r"state must be in 0\.\.2"):
             energy_coefficients(res, state)
+        with pytest.raises(IndexError, match=r"state must be in 0\.\.2"):
+            energy_series(res, state, p, 100)
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -490,7 +494,7 @@ def test_first_two_orders_closed_form():
     for n in range(1, 13):
         for k in range(5):
             _, res = run(n, k, 2)
-            for j, eps0 in enumerate(unperturbed_levels(n)):
+            for j, eps0 in enumerate(kac_eigenvalues(n)[::-1]):
                 assert res.eps[1][j] == t * (n - 1 + k), (n, k, j)
                 assert res.eps[2][j] == eps0 * (t * t + (n - 2 + 2 * k)) / 2, (
                     n, k, j)

@@ -63,6 +63,9 @@ MUTANTS = [
     Mutant("window one row narrower", RSPT,
            "width = min(order, horizon - order)",
            "width = min(order, horizon - order) - 1", (GRID,)),
+    Mutant("zeroth-order ladder descending", RSPT,
+           "es = [[levels[n - 1 - j]]]", "es = [[levels[j]]]",
+           ("tests/test_rspt.py::test_zeroth_order_is_ascending_ladder",)),
     Mutant("W divisor sign flipped", RSPT,
            "divmod(c, 2 * (j - i))", "divmod(c, 2 * (i - j))", (GRID,)),
     Mutant("G1's u-shift taken at odd orders instead of even ones", RSPT,
@@ -206,8 +209,8 @@ MUTANTS = [
            ("tests/test_oracle.py::"
             "test_values_at_two_tolerances_agree_within_their_resolutions",)),
     Mutant("spectrum defaults to a tolerance other than TOL", CLI,
-           "tol = TOL if args.tol is None else args.tol\n    coupling",
-           "tol = 1e-9 if args.tol is None else args.tol\n    coupling",
+           "eigenvalues = qes_spectrum(params, dim)",
+           "eigenvalues = qes_spectrum(params, dim, 1e-9)",
            ("tests/test_oracle.py::"
             "test_wavefunction_energy_is_the_spectrum_entry",)),
     Mutant("series CSV takes a nonpositive -D", CLI,
